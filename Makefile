@@ -67,10 +67,12 @@ race:
 alloc:
 	$(GO) test -run 'TestInstrumentedPredictAllocs|TestPredictHotPathAllocs' -v ./internal/serve
 
-# alloc-build is the build-side counterpart: the beam-miner benchmarks must
-# stay within the checked-in allocs/op and bytes/op ceilings in
-# ALLOC_BUDGET.json, so the mining hot path's CSR/bitset/arena memory
-# layout (DESIGN.md §13) cannot silently regress back to per-subgraph maps.
+# alloc-build is the build-side counterpart: the beam-miner benchmarks and
+# the paper-shaped uniqueness benchmark must stay within the checked-in
+# allocs/op and bytes/op ceilings in ALLOC_BUDGET.json, so the mining hot
+# path's CSR/bitset/arena memory layout (DESIGN.md §13) cannot silently
+# regress back to per-subgraph maps, nor the uniqueness matcher to
+# per-pair scratch.
 alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .
 

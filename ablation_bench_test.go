@@ -102,6 +102,46 @@ func benchUniqueness(b *testing.B, cap int) {
 	}
 }
 
+// BenchmarkUniquenessPaperShape scores uniqueness at the shape of the
+// paper build, where the k = 6-7 patterns dominate the matcher's time: a
+// duplication-divergence interactome, k <= 7 motifs from motif.Find, and
+// a step budget that some (network, pattern) pairs exhaust. The
+// BenchmarkUniqueness* pair above stops at k = 4 and never reaches that
+// code. Its allocations are gated by `make alloc-build`.
+func BenchmarkUniquenessPaperShape(b *testing.B) {
+	g, ms, cfg := uniquenessPaperShape(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		motif.ScoreUniqueness(g, ms, cfg)
+	}
+}
+
+// uniquenessPaperShape builds BenchmarkUniquenessPaperShape's inputs and
+// checks that they have the claimed shape.
+func uniquenessPaperShape(b *testing.B) (*graph.Graph, []*motif.Motif, motif.UniquenessConfig) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(12))
+	g := randnet.DuplicationDivergence(500, 0.35, 0.35, rng)
+	ms := motif.Find(g, motif.Config{MinSize: 3, MaxSize: 7, MinFreq: 12,
+		BeamWidth: 40, MaxOccPerClass: 100, Seed: 1})
+	cfg := motif.UniquenessConfig{Networks: 2, MaxSteps: 60_000, CountCap: 20_000, Seed: 3}
+	rnet := randnet.Randomize(g, rng)
+	adj := graph.NewAdjBits(rnet)
+	var m graph.Matcher
+	maxK, exhausted := 0, 0
+	for _, mo := range ms {
+		maxK = max(maxK, mo.Size())
+		if _, exact := m.CountUpTo(rnet, adj, graph.NewMatchPlan(mo.Pattern), mo.Frequency+1, cfg.MaxSteps); !exact {
+			exhausted++
+		}
+	}
+	if maxK != 7 || exhausted == 0 {
+		b.Fatalf("paper shape lost: %d motifs, largest k=%d, %d pairs exhaust the budget", len(ms), maxK, exhausted)
+	}
+	return g, ms, cfg
+}
+
 // BenchmarkDirectedMiner measures the directed beam miner (the future-work
 // extension) at the FFL scale.
 func BenchmarkDirectedMiner(b *testing.B) {

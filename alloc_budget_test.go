@@ -16,11 +16,13 @@ type allocBudget struct {
 }
 
 // TestMinerBeamAllocBudget is the build-side allocation gate (`make
-// alloc-build`): the beam-miner benchmarks must stay within the budgets in
-// ALLOC_BUDGET.json. The CSR + bitset + arena memory layout (DESIGN.md
-// §13) is what keeps these numbers small; if a change trips this gate,
-// either fix the regression or re-profile and justify a new budget in the
-// same commit.
+// alloc-build`): the beam-miner benchmarks and the paper-shaped uniqueness
+// benchmark must stay within the budgets in ALLOC_BUDGET.json. The CSR +
+// bitset + arena memory layout (DESIGN.md §13) is what keeps the miner's
+// numbers small, and per-worker matcher scratch keeps the uniqueness
+// matcher at zero allocations per (network, pattern) pair; if a change
+// trips this gate, either fix the regression or re-profile and justify a
+// new budget in the same commit.
 func TestMinerBeamAllocBudget(t *testing.T) {
 	data, err := os.ReadFile("ALLOC_BUDGET.json")
 	if err != nil {
@@ -31,8 +33,9 @@ func TestMinerBeamAllocBudget(t *testing.T) {
 		t.Fatalf("ALLOC_BUDGET.json: %v", err)
 	}
 	benches := map[string]func(b *testing.B){
-		"BenchmarkMinerBeam30":        func(b *testing.B) { benchMinerBeam(b, 30) },
-		"BenchmarkMinerBeamUnbounded": func(b *testing.B) { benchMinerBeam(b, 0) },
+		"BenchmarkMinerBeam30":          func(b *testing.B) { benchMinerBeam(b, 30) },
+		"BenchmarkMinerBeamUnbounded":   func(b *testing.B) { benchMinerBeam(b, 0) },
+		"BenchmarkUniquenessPaperShape": BenchmarkUniquenessPaperShape,
 	}
 	for name, budget := range budgets {
 		fn, ok := benches[name]

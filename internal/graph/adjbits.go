@@ -8,19 +8,22 @@ import "math/bits"
 // and reuses it across every pattern counted there; the ESU census and the
 // beam miner build one per mining pass and run their exclusive-neighborhood
 // kernels on its rows. At the paper's network scale (~4k vertices) a bitmap
-// costs ~2 MB, amortized over dozens of patterns.
+// costs ~2 MB, amortized over dozens of patterns. It also snapshots the
+// degree table, which the matcher reads once per candidate.
 type AdjBits struct {
 	n      int
 	stride int // words per row
 	words  []uint64
+	deg    []int32
 }
 
 // NewAdjBits builds the adjacency bitmap of g.
 func NewAdjBits(g *Graph) *AdjBits {
 	n := g.N()
 	stride := (n + 63) / 64
-	a := &AdjBits{n: n, stride: stride, words: make([]uint64, n*stride)}
+	a := &AdjBits{n: n, stride: stride, words: make([]uint64, n*stride), deg: make([]int32, n)}
 	for u := 0; u < n; u++ {
+		a.deg[u] = int32(g.Degree(u))
 		row := a.words[u*stride : (u+1)*stride]
 		for _, v := range g.Neighbors(u) {
 			row[v>>6] |= 1 << uint(v&63)

@@ -30,9 +30,9 @@ type UniquenessConfig struct {
 	CountCap int
 	// Seed drives the randomizations.
 	Seed int64
-	// Parallelism caps the concurrent per-network workers
-	// (0 = runtime.GOMAXPROCS(0)). Results are identical at any setting:
-	// each network derives its own RNG stream from Seed and writes to its
+	// Parallelism caps the concurrent workers (0 = runtime.GOMAXPROCS(0)).
+	// Results are identical at any setting: each network derives its own
+	// RNG stream from Seed, and each (network, pattern) pair writes to its
 	// own slot.
 	Parallelism int
 }
@@ -46,54 +46,73 @@ func DefaultUniquenessConfig() UniquenessConfig {
 // randomized networks whose pattern frequency does not exceed the real
 // frequency. The matcher counts distinct vertex sets and stops as soon as
 // the randomized count exceeds the real one, so typical cost per network is
-// small. Networks are processed in parallel (one goroutine per GOMAXPROCS
-// worker); each randomization derives its own seed from cfg.Seed, so
-// results are deterministic regardless of worker count.
+// small.
+//
+// The work runs in two parallel phases. First each network is randomized
+// once, from its own seed derived from cfg.Seed, and its adjacency bitmap
+// built. Then every (network, pattern) pair is counted as its own task
+// (each pattern compiled once), writing its win to an index-addressed slot.
+// Per-pair costs differ by orders of magnitude, so pair-level tasks keep
+// all workers busy where per-network tasks left the pool idle behind the
+// slowest network. Results are identical at any worker count.
 func ScoreUniqueness(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) {
 	if cfg.Networks <= 0 {
 		return
 	}
-	winsPerNet := make([][]int, cfg.Networks)
-	par.Do(cfg.Networks, par.Workers(cfg.Parallelism), func(r int) {
+	workers := par.Workers(cfg.Parallelism)
+	nets := make([]*graph.Graph, cfg.Networks)
+	adjs := make([]*graph.AdjBits, cfg.Networks)
+	par.Do(cfg.Networks, workers, func(r int) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(r)*0x9e3779b9))
-		rnet := randnet.Randomize(g, rng)
-		adj := graph.NewAdjBits(rnet)
-		wins := make([]int, len(motifs))
-		for i, m := range motifs {
-			// Count up to Frequency+1 sets (capped): if the randomized
-			// network has more sets than the real one, the round is
-			// lost.
-			limit := m.Frequency + 1
-			if cfg.CountCap > 0 && limit > cfg.CountCap {
-				limit = cfg.CountCap
-			}
-			cnt, exact := graph.CountInducedUpToAdj(rnet, adj, m.Pattern, limit, cfg.MaxSteps)
-			if !exact {
-				if cnt == 0 {
-					// Budget exhausted without completing one embedding:
-					// the pattern is rare in the randomized network.
-					wins[i]++
-				}
-				continue // otherwise: cannot certify this round
-			}
-			if cnt >= limit && limit <= m.Frequency {
-				// Hit the count cap below the real frequency: cannot
-				// certify.
-				continue
-			}
-			if cnt <= m.Frequency {
-				wins[i]++
-			}
-		}
-		winsPerNet[r] = wins
+		nets[r] = randnet.Randomize(g, rng)
+		adjs[r] = graph.NewAdjBits(nets[r])
+	})
+	plans := make([]*graph.MatchPlan, len(motifs))
+	par.Do(len(motifs), workers, func(i int) {
+		plans[i] = graph.NewMatchPlan(motifs[i].Pattern)
+	})
+
+	// Pair p is (motif p / Networks, network p % Networks), so motif i's
+	// rounds are the slots wins[i*Networks : (i+1)*Networks].
+	wins := make([]bool, len(motifs)*cfg.Networks)
+	scratch := make([]graph.Matcher, workers)
+	par.DoWorker(len(wins), workers, func(w, p int) {
+		i, r := p/cfg.Networks, p%cfg.Networks
+		wins[p] = uniqueWin(&scratch[w], nets[r], adjs[r], plans[i], motifs[i].Frequency, cfg)
 	})
 	for i, m := range motifs {
 		total := 0
-		for r := range winsPerNet {
-			total += winsPerNet[r][i]
+		for _, won := range wins[i*cfg.Networks : (i+1)*cfg.Networks] {
+			if won {
+				total++
+			}
 		}
 		m.Uniqueness = float64(total) / float64(cfg.Networks)
 	}
+}
+
+// uniqueWin scores one (network, pattern) round: whether the randomized
+// network certifiably holds no more copies of the pattern than the real
+// network's freq.
+func uniqueWin(m *graph.Matcher, rnet *graph.Graph, adj *graph.AdjBits, plan *graph.MatchPlan, freq int, cfg UniquenessConfig) bool {
+	// Count up to freq+1 sets (capped): if the randomized network has
+	// more sets than the real one, the round is lost.
+	limit := freq + 1
+	if cfg.CountCap > 0 && limit > cfg.CountCap {
+		limit = cfg.CountCap
+	}
+	cnt, exact := m.CountUpTo(rnet, adj, plan, limit, cfg.MaxSteps)
+	if !exact {
+		// Budget exhausted without completing one embedding: the pattern
+		// is rare in the randomized network. Otherwise the round cannot
+		// be certified.
+		return cnt == 0
+	}
+	if cnt >= limit && limit <= freq {
+		// Hit the count cap below the real frequency: cannot certify.
+		return false
+	}
+	return cnt <= freq
 }
 
 // FilterUnique returns the motifs with Uniqueness >= minUniq, preserving

@@ -37,14 +37,20 @@ func ScoreZ(g *graph.Graph, motifs []*Motif, cfg UniquenessConfig) []ZScore {
 	for i := range exact {
 		exact[i] = true
 	}
+	plans := make([]*graph.MatchPlan, len(motifs))
+	for i, m := range motifs {
+		plans[i] = graph.NewMatchPlan(m.Pattern)
+	}
+	var matcher graph.Matcher
 	for r := 0; r < cfg.Networks; r++ {
 		rnet := randnet.Randomize(g, rng)
-		for i, m := range motifs {
+		adj := graph.NewAdjBits(rnet)
+		for i := range motifs {
 			limit := 0
 			if cfg.CountCap > 0 {
 				limit = cfg.CountCap
 			}
-			cnt, ok := graph.CountInducedUpTo(rnet, m.Pattern, limit, cfg.MaxSteps)
+			cnt, ok := matcher.CountUpTo(rnet, adj, plans[i], limit, cfg.MaxSteps)
 			if !ok {
 				exact[i] = false
 			}

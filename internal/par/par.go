@@ -26,6 +26,14 @@ func Workers(n int) int {
 // under that contract the result is independent of the schedule. Do returns
 // after every call has completed. workers <= 0 resolves via Workers.
 func Do(n, workers int, fn func(i int)) {
+	DoWorker(n, workers, func(_, i int) { fn(i) })
+}
+
+// DoWorker is Do that also passes fn the index, in [0, Workers(workers)),
+// of the goroutine running task i, so callers can keep per-worker scratch
+// in a pre-sized slice. Which worker runs which task depends on the
+// schedule: the worker index may select scratch, never reach a result.
+func DoWorker(n, workers int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -35,7 +43,7 @@ func Do(n, workers int, fn func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -50,7 +58,7 @@ func Do(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

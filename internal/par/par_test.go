@@ -60,3 +60,27 @@ func TestChunksBoundariesIndependentOfWorkers(t *testing.T) {
 		t.Fatal("NumChunks must be 0 for empty input or non-positive size")
 	}
 }
+
+func TestDoWorkerIndicesAreExclusive(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		const n = 500
+		hits := make([]int32, n)
+		busy := make([]atomic.Int32, Workers(workers))
+		DoWorker(n, workers, func(w, i int) {
+			if w < 0 || w >= len(busy) {
+				t.Errorf("workers=%d: worker index %d out of range", workers, w)
+				return
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("workers=%d: worker index %d used by two goroutines at once", workers, w)
+			}
+			atomic.AddInt32(&hits[i], 1)
+			busy[w].Add(-1)
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+			}
+		}
+	}
+}
