@@ -1,11 +1,13 @@
 # Tier-1 gates for the LaMoFinder reproduction. CI (.github/workflows/ci.yml)
-# runs `make ci`; the individual targets exist for local iteration.
+# runs each prerequisite of `ci` as its own step, calling the target here
+# (ci_workflow_test.go checks that none is missing).
 
 GO ?= go
 
 # RACEPKGS are the concurrency-bearing packages: the par worker pool, the
-# sharded similarity cache and parallel labeler (internal/label), the
-# heap agglomerator driven by batch-parallel rows (internal/cluster), the
+# sharded similarity cache and the motif-parallel labeler with per-worker
+# clustering scratch (internal/label), the heap agglomerator and reusable
+# Hungarian solver that scratch holds (internal/cluster), the
 # chunked enumeration / per-network uniqueness fan-outs (internal/motif)
 # on top of the randnet generators, the serving stack (request handlers
 # over the LRU cache, singleflight group, and atomic counters) plus the
@@ -67,11 +69,12 @@ race:
 alloc:
 	$(GO) test -run 'TestInstrumentedPredictAllocs|TestPredictHotPathAllocs' -v ./internal/serve
 
-# alloc-build is the build-side counterpart: the beam-miner benchmarks and
-# the paper-shaped uniqueness benchmark must stay within the checked-in
-# allocs/op and bytes/op ceilings in ALLOC_BUDGET.json, so the mining hot
-# path's CSR/bitset/arena memory layout (DESIGN.md §13) cannot silently
-# regress back to per-subgraph maps, nor the uniqueness matcher to
+# alloc-build is the build-side counterpart: the beam-miner benchmarks, the
+# paper-shaped uniqueness benchmark and the one-motif labeling benchmark
+# must stay within the checked-in allocs/op and bytes/op ceilings in
+# ALLOC_BUDGET.json, so the mining hot path's CSR/bitset/arena memory
+# layout (DESIGN.md §13) cannot silently regress back to per-subgraph
+# maps, nor the uniqueness matcher or the occurrence-similarity kernel to
 # per-pair scratch.
 alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .

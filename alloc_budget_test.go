@@ -16,13 +16,16 @@ type allocBudget struct {
 }
 
 // TestMinerBeamAllocBudget is the build-side allocation gate (`make
-// alloc-build`): the beam-miner benchmarks and the paper-shaped uniqueness
-// benchmark must stay within the budgets in ALLOC_BUDGET.json. The CSR +
-// bitset + arena memory layout (DESIGN.md §13) is what keeps the miner's
-// numbers small, and per-worker matcher scratch keeps the uniqueness
-// matcher at zero allocations per (network, pattern) pair; if a change
-// trips this gate, either fix the regression or re-profile and justify a
-// new budget in the same commit.
+// alloc-build`): the beam-miner benchmarks, the paper-shaped uniqueness
+// benchmark and the one-motif labeling benchmark must stay within the
+// budgets in ALLOC_BUDGET.json. The CSR + bitset + arena memory layout
+// (DESIGN.md §13) is what keeps the miner's numbers small, per-worker
+// matcher scratch keeps the uniqueness matcher at zero allocations per
+// (network, pattern) pair, and the clustering scratch (reused Hungarian
+// solver, flat orbit scores, typed candidate heap) keeps occurrence
+// similarity allocation-free per pair; if a change trips this gate,
+// either fix the regression or re-profile and justify a new budget in the
+// same commit.
 func TestMinerBeamAllocBudget(t *testing.T) {
 	data, err := os.ReadFile("ALLOC_BUDGET.json")
 	if err != nil {
@@ -36,6 +39,7 @@ func TestMinerBeamAllocBudget(t *testing.T) {
 		"BenchmarkMinerBeam30":          func(b *testing.B) { benchMinerBeam(b, 30) },
 		"BenchmarkMinerBeamUnbounded":   func(b *testing.B) { benchMinerBeam(b, 0) },
 		"BenchmarkUniquenessPaperShape": BenchmarkUniquenessPaperShape,
+		"BenchmarkLabelMotif":           BenchmarkLabelMotif,
 	}
 	for name, budget := range budgets {
 		fn, ok := benches[name]
@@ -47,7 +51,7 @@ func TestMinerBeamAllocBudget(t *testing.T) {
 		t.Logf("%s: %d allocs/op (budget %d), %d B/op (budget %d)",
 			name, allocs, budget.AllocsPerOp, bytes, budget.BytesPerOp)
 		if allocs > budget.AllocsPerOp {
-			t.Errorf("%s allocates %d/op, over the %d budget — the mining "+
+			t.Errorf("%s allocates %d/op, over the %d budget — the build "+
 				"hot path regressed (or re-profile and raise ALLOC_BUDGET.json)",
 				name, allocs, budget.AllocsPerOp)
 		}

@@ -1,28 +1,27 @@
 package cluster
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Agglomerative performs generic bottom-up hierarchical clustering over n
 // items. Sim(a, b) returns the similarity between two current clusters,
 // identified by their representative ids; Merge(a, b) combines them and
 // returns the id representing the merged cluster (one of a, b, or a fresh
-// id the caller manages); CanMerge may veto a proposed merge.
+// id the caller manages); CanMerge may veto a proposed merge. Ids must be
+// non-negative: the driver keeps per-id state in slices indexed by id.
 //
 // LaMoFinder uses this driver with occurrence-cluster ids, SO similarity,
 // and the border-informative-FC stopping rule. The simpler linkage-based
 // API below (HierarchicalLinkage) serves tests and generic uses.
+//
+// The driver's working memory (candidate heap, versions, creation order)
+// lives in the value and is reused by later Run calls, so one Agglomerative
+// per worker clusters motif after motif without regrowing its buffers. A
+// value is not safe for concurrent Run calls.
 type Agglomerative struct {
-	// Sim returns the similarity of two live clusters.
+	// Sim returns the similarity of two live clusters. Run calls it with
+	// an input id against the input ids after it, then with each merged id
+	// against the survivors, so Sim need not be bitwise symmetric.
 	Sim func(a, b int) float64
-	// BatchSim, if non-nil, computes the similarity of a against each id in
-	// bs, writing result i to out[i]. It replaces per-pair Sim calls when a
-	// cluster's whole similarity row is needed at once, letting callers
-	// fan the row out to a worker pool. BatchSim(a, bs, out) must be
-	// equivalent to out[i] = Sim(a, bs[i]) for every i.
-	BatchSim func(a int, bs []int, out []float64)
 	// Merge fuses cluster b into cluster a (or returns a fresh id).
 	Merge func(a, b int) int
 	// CanMerge, if non-nil, vetoes merges (e.g. a stopping criterion per
@@ -32,6 +31,10 @@ type Agglomerative struct {
 	// MinSim stops the process when the best available pair's similarity
 	// falls below this threshold.
 	MinSim float64
+
+	heap  candHeap
+	ver   []uint32 // ver[id] = current version of a live id; 0 = not live
+	order []int    // input ids, then merged ids in creation order
 }
 
 // mergeCand is one candidate merge in the lazy max-heap. va and vb snapshot
@@ -44,32 +47,98 @@ type mergeCand struct {
 	va, vb uint32
 }
 
-// candHeap orders candidates by similarity (descending), breaking ties by
-// the smaller id pair (a ascending, then b ascending) so the merge sequence
-// is a deterministic function of the similarity structure alone.
+// candHeap is a binary max-heap of candidates ordered by similarity
+// (descending), breaking ties by the smaller id pair (a ascending, then b
+// ascending), so the merge sequence is a deterministic function of the
+// similarity structure alone. It is typed rather than built on
+// container/heap so candidates never box through an interface.
 type candHeap []mergeCand
 
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].sim > h[j].sim {
+func (h candHeap) before(i, j int) bool {
+	x, y := &h[i], &h[j]
+	if x.sim > y.sim {
 		return true
 	}
-	if h[i].sim < h[j].sim {
+	if x.sim < y.sim {
 		return false
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
+	if x.a != y.a {
+		return x.a < y.a
 	}
-	return h[i].b < h[j].b
+	return x.b < y.b
 }
-func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(mergeCand)) }
-func (h *candHeap) Pop() any {
+
+func (h candHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.before(r, c) {
+			c = r
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h candHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// heapify establishes the heap order over arbitrary contents in O(len).
+func (h candHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *candHeap) push(c mergeCand) {
+	*h = append(*h, c)
+	h.up(len(*h) - 1)
+}
+
+func (h *candHeap) pop() mergeCand {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+// live reports whether id is a current cluster.
+func (ag *Agglomerative) live(id int) bool { return id < len(ag.ver) && ag.ver[id] != 0 }
+
+// setVer records id's version, growing the id-indexed table as needed.
+func (ag *Agglomerative) setVer(id int, v uint32) {
+	for id >= len(ag.ver) {
+		ag.ver = append(ag.ver, 0)
+	}
+	ag.ver[id] = v
+}
+
+// cand scores the pair at the current versions as Sim(a, b) — in that
+// argument order, since a caller's similarity need not be bitwise
+// symmetric — and stores it under the ordered id pair.
+func (ag *Agglomerative) cand(a, b int) mergeCand {
+	sim := ag.Sim(a, b)
+	if a > b {
+		a, b = b, a
+	}
+	return mergeCand{sim: sim, a: a, b: b, va: ag.ver[a], vb: ag.ver[b]}
 }
 
 // Run clusters the given live ids until no admissible pair remains, and
@@ -82,92 +151,64 @@ func (h *candHeap) Pop() any {
 // version is out of date. A merge therefore costs one row of similarity
 // computations (the merged cluster against the survivors) plus O(log h)
 // heap maintenance, instead of the full O(k^2) rescan of the naive loop.
-// Ties are broken by the smaller id pair, so the result is a deterministic
-// function of the similarity values regardless of how rows are computed.
+// The candidate order (similarity, then id pair) is total over live
+// candidates, so the pops — and hence the merges — are a deterministic
+// function of the similarity values, independent of how the heap was
+// built or in which order a row was scored.
 func (ag *Agglomerative) Run(ids []int) []int {
-	batch := ag.BatchSim
-	if batch == nil {
-		batch = func(a int, bs []int, out []float64) {
-			for i, b := range bs {
-				out[i] = ag.Sim(a, b)
-			}
-		}
-	}
 	admissible := func(a, b int) bool {
 		return ag.CanMerge == nil || ag.CanMerge(a, b)
 	}
-
-	ver := make(map[int]uint32, len(ids))
-	order := make([]int, 0, len(ids))
+	// Every id this run reads has its version set first, so entries left
+	// in ver by an earlier run are never consulted.
+	ag.order = append(ag.order[:0], ids...)
 	for _, id := range ids {
-		ver[id] = 0
-		order = append(order, id)
+		ag.setVer(id, 1)
 	}
 
-	h := &candHeap{}
-	// pushRow scores cluster a against every live peer in bs and pushes the
-	// admissible candidates. Rows are scored through batch so callers can
-	// parallelize them; results land in index-addressed slots, keeping the
-	// candidate set independent of the evaluation schedule.
-	pushRow := func(a int, bs []int) {
-		if len(bs) == 0 {
-			return
-		}
-		sims := make([]float64, len(bs))
-		batch(a, bs, sims)
-		for i, b := range bs {
-			x, y := a, b
-			if x > y {
-				x, y = y, x
-			}
-			heap.Push(h, mergeCand{sim: sims[i], a: x, b: y, va: ver[x], vb: ver[y]})
-		}
+	// Initial pairwise rows: each id against the admissible ids after it,
+	// appended unordered and heapified once.
+	n := len(ids)
+	if c := n * (n - 1) / 2; cap(ag.heap) < c {
+		ag.heap = make(candHeap, 0, c)
 	}
-
-	// Initial pairwise rows: each id against the admissible ids after it.
+	h := ag.heap[:0]
 	for i, a := range ids {
-		var bs []int
 		for _, b := range ids[i+1:] {
 			if admissible(a, b) {
-				bs = append(bs, b)
+				h = append(h, ag.cand(a, b))
 			}
 		}
-		pushRow(a, bs)
 	}
+	h.heapify()
 
-	nextVer := uint32(1)
-	for h.Len() > 0 {
-		c := heap.Pop(h).(mergeCand)
-		va, aLive := ver[c.a]
-		vb, bLive := ver[c.b]
-		if !aLive || !bLive || va != c.va || vb != c.vb {
+	nextVer := uint32(2)
+	for len(h) > 0 {
+		c := h.pop()
+		if ag.ver[c.a] != c.va || ag.ver[c.b] != c.vb {
 			continue // stale: one side has merged since this was scored
 		}
 		if c.sim < ag.MinSim {
 			break // max-heap: nothing better remains
 		}
 		merged := ag.Merge(c.a, c.b)
-		delete(ver, c.a)
-		delete(ver, c.b)
-		ver[merged] = nextVer // reused ids get a fresh version, stale entries die
+		ag.ver[c.a], ag.ver[c.b] = 0, 0
+		ag.setVer(merged, nextVer) // reused ids get a fresh version, stale entries die
 		nextVer++
-		order = append(order, merged)
-
-		var bs []int
-		for _, b := range order {
-			if _, live := ver[b]; live && b != merged && admissible(merged, b) {
-				bs = append(bs, b)
+		ag.order = append(ag.order, merged)
+		for _, b := range ag.order {
+			if ag.live(b) && b != merged && admissible(merged, b) {
+				h.push(ag.cand(merged, b))
 			}
 		}
-		pushRow(merged, bs)
 	}
+	ag.heap = h[:0]
 
-	out := make([]int, 0, len(ver))
-	seen := make(map[int]bool, len(ver))
-	for _, id := range order {
-		if _, live := ver[id]; live && !seen[id] {
+	out := make([]int, 0, len(ag.order))
+	for _, id := range ag.order {
+		if ag.live(id) {
 			out = append(out, id)
-			seen[id] = true
+			ag.ver[id] = 0 // emit each survivor once
 		}
 	}
 	return out

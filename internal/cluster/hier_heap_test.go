@@ -12,14 +12,24 @@ import (
 // aggloModel is a randomized clustering problem shared by the heap driver
 // and the brute-force reference: items carry random base similarities,
 // merged clusters score by average linkage over their members, and clusters
-// grow frozen once they exceed a member bound.
+// grow frozen once they exceed a member bound. With reuse set, a merge
+// keeps the smaller id instead of minting a fresh one, exercising the
+// driver's version bump on reused ids.
 type aggloModel struct {
 	base    [][]float64 // symmetric item-level similarities
 	members map[int][]int
 	next    int
 	maxSize int
 	minSim  float64
-	merges  []int // merge log (ids), for cross-checking the sequence
+	reuse   bool
+	merges  []aggloMerge // merge log, for cross-checking the sequence
+}
+
+// aggloMerge is one logged merge: the two ids, the similarity they merged
+// at, and the resulting id.
+type aggloMerge struct {
+	a, b, id int
+	sim      float64
 }
 
 func newAggloModel(rng *rand.Rand) *aggloModel {
@@ -28,13 +38,18 @@ func newAggloModel(rng *rand.Rand) *aggloModel {
 	for i := range base {
 		base[i] = make([]float64, n)
 	}
+	// Force exact ties often, to exercise the deterministic tie-breaking
+	// path: quantize some or all pairs to a coarse grid, or make every
+	// pair score the same.
+	ties := rng.Intn(3)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			s := rng.Float64()
-			// Force exact ties often, to exercise the deterministic
-			// tie-breaking path: quantize to a coarse grid.
-			if rng.Intn(2) == 0 {
+			switch {
+			case ties == 0 && rng.Intn(2) == 0, ties == 1:
 				s = math.Round(s*4) / 4
+			case ties == 2:
+				s = 0.5
 			}
 			base[i][j], base[j][i] = s, s
 		}
@@ -45,6 +60,7 @@ func newAggloModel(rng *rand.Rand) *aggloModel {
 		next:    n,
 		maxSize: 2 + rng.Intn(4),
 		minSim:  rng.Float64() * 0.5,
+		reuse:   rng.Intn(2) == 0,
 	}
 	for i := 0; i < n; i++ {
 		m.members[i] = []int{i}
@@ -72,9 +88,17 @@ func (m *aggloModel) sim(a, b int) float64 {
 
 func (m *aggloModel) merge(a, b int) int {
 	id := m.next
-	m.next++
-	m.members[id] = append(append([]int(nil), m.members[a]...), m.members[b]...)
-	m.merges = append(m.merges, a, b, id)
+	if m.reuse {
+		id = min(a, b)
+	} else {
+		m.next++
+	}
+	sim := m.sim(a, b)
+	union := append(append([]int(nil), m.members[a]...), m.members[b]...)
+	delete(m.members, a)
+	delete(m.members, b)
+	m.members[id] = union
+	m.merges = append(m.merges, aggloMerge{a: a, b: b, id: id, sim: sim})
 	return id
 }
 
@@ -139,16 +163,21 @@ func rescanRun(ag *Agglomerative, ids []int) []int {
 }
 
 // TestAgglomerativeHeapMatchesRescan drives the lazy-heap Run and the
-// brute-force rescan over identical randomized inputs and requires the
-// exact same merge sequence and survivors.
+// brute-force rescan over identical randomized inputs (tie-heavy, with
+// fresh and reused merge ids) and requires the exact same merge sequence —
+// every (a, b, merged id, similarity) step in order — and survivors. Each
+// heap run goes through one reused driver value, so buffers left over from
+// a previous, differently sized problem are exercised too.
 func TestAgglomerativeHeapMatchesRescan(t *testing.T) {
+	var ag Agglomerative
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		mHeap := newAggloModel(rng)
 		// Rebuild the identical model for the reference run.
 		mRef := newAggloModel(rand.New(rand.NewSource(seed)))
 
-		gotOut := mHeap.driver().Run(mHeap.ids())
+		ag.Sim, ag.Merge, ag.CanMerge, ag.MinSim = mHeap.sim, mHeap.merge, mHeap.canMerge, mHeap.minSim
+		gotOut := ag.Run(mHeap.ids())
 		wantOut := rescanRun(mRef.driver(), mRef.ids())
 
 		if !reflect.DeepEqual(mHeap.merges, mRef.merges) {
@@ -164,7 +193,7 @@ func TestAgglomerativeHeapMatchesRescan(t *testing.T) {
 		return true
 	}
 	cfg := &quick.Config{
-		MaxCount: 80,
+		MaxCount: 150,
 		Rand:     rand.New(rand.NewSource(1)),
 		Values: func(vs []reflect.Value, r *rand.Rand) {
 			vs[0] = reflect.ValueOf(r.Int63())
@@ -175,29 +204,31 @@ func TestAgglomerativeHeapMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestAgglomerativeBatchSimEquivalent runs the same model with a BatchSim
-// hook (as the parallel labeler does) and requires identical results to the
-// per-pair Sim path.
-func TestAgglomerativeBatchSimEquivalent(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		plain := newAggloModel(rand.New(rand.NewSource(seed)))
-		batched := newAggloModel(rand.New(rand.NewSource(seed)))
-
-		plainOut := plain.driver().Run(plain.ids())
-
-		ag := batched.driver()
-		ag.BatchSim = func(a int, bs []int, out []float64) {
-			for i, b := range bs {
-				out[i] = batched.sim(a, b)
+// TestAgglomerativeSimArgumentOrder pins the order Run passes a pair to
+// Sim: an input id against the input ids after it, then each merged id
+// against the survivors. Callers' similarities need not be bitwise
+// symmetric (LaMoFinder's SO sums in pattern-vertex order of its first
+// argument), so scoring (b, a) instead of (a, b) could change the merges.
+func TestAgglomerativeSimArgumentOrder(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		m := newAggloModel(rand.New(rand.NewSource(seed)))
+		ids := m.ids()
+		pos := map[int]int{}
+		for i, id := range ids {
+			pos[id] = i
+		}
+		merged := -1
+		ag := m.driver()
+		ag.Sim = func(a, b int) float64 {
+			if merged < 0 && pos[a] >= pos[b] || merged >= 0 && a != merged {
+				t.Fatalf("seed %d: Sim(%d, %d) after merge into %d", seed, a, b, merged)
 			}
+			return m.sim(a, b)
 		}
-		batchedOut := ag.Run(batched.ids())
-
-		if !reflect.DeepEqual(plainOut, batchedOut) {
-			t.Fatalf("seed %d: BatchSim path diverged: %v vs %v", seed, plainOut, batchedOut)
+		ag.Merge = func(a, b int) int {
+			merged = m.merge(a, b)
+			return merged
 		}
-		if !reflect.DeepEqual(plain.merges, batched.merges) {
-			t.Fatalf("seed %d: merge sequences diverged: %v vs %v", seed, plain.merges, batched.merges)
-		}
+		ag.Run(ids)
 	}
 }

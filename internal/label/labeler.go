@@ -37,11 +37,12 @@ type Config struct {
 	// terms in merged schemes, so the default is false; generalization is
 	// bounded by the border stopping rule either way.
 	RestrictLabelSpace bool
-	// Parallelism caps the worker goroutines used for occurrence-similarity
-	// rows and per-motif labeling (0 = runtime.GOMAXPROCS(0)). Output is
-	// byte-identical at every setting: similarity rows land in
-	// index-addressed slots and merge order is a deterministic function of
-	// the similarity values (see DESIGN.md, "Parallel architecture").
+	// Parallelism caps the worker goroutines LabelAll labels motifs on
+	// (0 = runtime.GOMAXPROCS(0)); each motif is clustered serially by one
+	// worker. Output is byte-identical at every setting: each motif's
+	// schemes land in an index-addressed slot and merge order is a
+	// deterministic function of the similarity values (see DESIGN.md,
+	// "Parallel architecture").
 	Parallelism int
 	// Now, when set, enables clustering telemetry: each LabelOccurrences
 	// call brackets its agglomeration with this clock and accumulates the
@@ -208,7 +209,11 @@ type Scheme struct {
 // LabelMotif runs Algorithms 1-2 on one unlabeled motif and returns every
 // labeling scheme with at least Sigma conforming occurrences.
 func (l *Labeler) LabelMotif(m *motif.Motif) []*LabeledMotif {
-	schemes := l.LabelOccurrences(m.Size(), m.Occurrences, NewSymmetry(m.Pattern))
+	return l.labelMotif(m, new(labelScratch))
+}
+
+func (l *Labeler) labelMotif(m *motif.Motif, sc *labelScratch) []*LabeledMotif {
+	schemes := l.labelOccurrences(m.Size(), m.Occurrences, NewSymmetry(m.Pattern), sc)
 	out := make([]*LabeledMotif, 0, len(schemes))
 	for _, s := range schemes {
 		out = append(out, &LabeledMotif{
@@ -222,11 +227,25 @@ func (l *Labeler) LabelMotif(m *motif.Motif) []*LabeledMotif {
 	return out
 }
 
+// labelScratch is one clustering worker's reusable memory: the occurrence
+// similarity scratch shared by scoring and merging, and the agglomeration
+// driver with its heap and version tables. LabelAll keeps one per worker,
+// so buffers grow to the largest motif once and are then reused for every
+// motif that worker labels.
+type labelScratch struct {
+	occ occScratch
+	ag  cluster.Agglomerative
+}
+
 // LabelOccurrences is the representation-independent core of Algorithms
 // 1-2: cluster the occurrences of an nv-vertex pattern under the given
 // symmetry structure and return every labeling scheme with at least Sigma
 // conforming occurrences, most frequent first.
 func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry) []*Scheme {
+	return l.labelOccurrences(nv, occurrences, sym, new(labelScratch))
+}
+
+func (l *Labeler) labelOccurrences(nv int, occurrences [][]int32, sym *Symmetry, sc *labelScratch) []*Scheme {
 	occs := occurrences
 	if l.cfg.MaxOccurrences > 0 && len(occs) > l.cfg.MaxOccurrences {
 		occs = occs[:l.cfg.MaxOccurrences]
@@ -236,50 +255,37 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 	}
 
 	// Each occurrence starts as its own cluster (Algorithm 1 line 4).
-	clusters := make([]*clusterState, 0, len(occs))
-	for _, occ := range occs {
+	clusters := make([]*clusterState, 0, 2*len(occs))
+	ids := make([]int, 0, len(occs))
+	for i, occ := range occs {
 		cs := &clusterState{occs: [][]int32{occ}, scheme: make([][]int32, nv)}
 		for v := 0; v < nv; v++ {
 			cs.scheme[v] = l.initialLabels(occ[v])
 		}
 		cs.frozen = l.isFrozen(cs)
 		clusters = append(clusters, cs)
+		ids = append(ids, i)
 	}
 
 	// Agglomeration (Algorithm 1 lines 5-14) runs on the generic lazy-heap
-	// driver: each cluster's similarity row is computed once, fanned out to
-	// the worker pool, and merges pop from a max-heap with stale-entry
-	// invalidation. Results are identical at any worker count because the
-	// similarity values are pure functions of the schemes and the driver
-	// breaks ties by cluster id, not by evaluation order.
-	simOf := func(a, b int) float64 {
-		so, _ := l.sim.Occurrence(clusters[a].scheme, clusters[b].scheme, sym)
-		return so
+	// driver: each cluster's similarity row is computed once and merges pop
+	// from a max-heap with stale-entry invalidation. Scoring and merging
+	// share the worker's occurrence scratch, so a pair costs no allocation.
+	// Results are identical at any worker count because the similarity
+	// values are pure functions of the schemes and the driver breaks ties
+	// by cluster id, not by evaluation order.
+	ag := &sc.ag
+	ag.Sim = func(a, b int) float64 {
+		return l.sim.occurrence(clusters[a].scheme, clusters[b].scheme, sym, &sc.occ)
 	}
-	ag := &cluster.Agglomerative{
-		Sim: simOf,
-		BatchSim: func(a int, bs []int, out []float64) {
-			// Short rows are cheaper serial than the goroutine handoff; the
-			// threshold only moves work between schedules, never changes it.
-			workers := par.Workers(l.cfg.Parallelism)
-			if len(bs) < minParallelRow {
-				workers = 1
-			}
-			par.Do(len(bs), workers, func(i int) { out[i] = simOf(a, bs[i]) })
-		},
-		Merge: func(a, b int) int {
-			clusters = append(clusters, l.merge(clusters[a], clusters[b], sym))
-			return len(clusters) - 1
-		},
-		CanMerge: func(a, b int) bool {
-			return !clusters[a].frozen && !clusters[b].frozen
-		},
-		MinSim: l.cfg.MinSim,
+	ag.Merge = func(a, b int) int {
+		clusters = append(clusters, l.merge(clusters[a], clusters[b], sym, &sc.occ))
+		return len(clusters) - 1
 	}
-	ids := make([]int, len(clusters))
-	for i := range ids {
-		ids[i] = i
+	ag.CanMerge = func(a, b int) bool {
+		return !clusters[a].frozen && !clusters[b].frozen
 	}
+	ag.MinSim = l.cfg.MinSim
 	var t0 time.Time
 	if l.cfg.Now != nil {
 		t0 = l.cfg.Now()
@@ -316,9 +322,10 @@ func (l *Labeler) LabelOccurrences(nv int, occurrences [][]int32, sym *Symmetry)
 // merge fuses cluster b into a using the orbit-wise optimal vertex pairing,
 // deriving the least general scheme and re-ordering b's occurrences to a's
 // vertex correspondence.
-func (l *Labeler) merge(a, b *clusterState, sym *Symmetry) *clusterState {
+func (l *Labeler) merge(a, b *clusterState, sym *Symmetry, sc *occScratch) *clusterState {
 	nv := len(a.scheme)
-	_, pairing := l.sim.Occurrence(a.scheme, b.scheme, sym)
+	l.sim.occurrence(a.scheme, b.scheme, sym, sc)
+	pairing := sc.pairing
 	m := &clusterState{scheme: make([][]int32, nv)}
 	for v := 0; v < nv; v++ {
 		m.scheme[v] = LeastGeneralIndexed(l.sim.lca, a.scheme[v], b.scheme[pairing[v]], l.cfg.MaxLabelsPerVertex)
@@ -349,19 +356,18 @@ func (l *Labeler) isFrozen(cs *clusterState) bool {
 	return 2*at >= n
 }
 
-// minParallelRow is the smallest similarity row fanned out to the worker
-// pool; shorter rows run serially to skip the goroutine handoff cost.
-const minParallelRow = 32
-
 // LabelAll runs LabelMotif over every motif and flattens the results in
-// motif order. Motifs are labeled concurrently (the Labeler is safe for
-// concurrent use: the term cache is sharded, everything else is read-only),
-// with each motif's schemes written to its own index so the flattened
-// output is independent of the schedule.
+// motif order. Motifs are labeled concurrently, one motif per worker at a
+// time (the Labeler is safe for concurrent use: the term cache is sharded,
+// everything else is read-only), and each worker reuses its own clustering
+// scratch. Each motif's schemes are written to its own index, so the
+// flattened output is independent of the schedule.
 func (l *Labeler) LabelAll(ms []*motif.Motif) []*LabeledMotif {
+	workers := par.Workers(l.cfg.Parallelism)
+	scratch := make([]labelScratch, workers)
 	results := make([][]*LabeledMotif, len(ms))
-	par.Do(len(ms), par.Workers(l.cfg.Parallelism), func(i int) {
-		results[i] = l.LabelMotif(ms[i])
+	par.DoWorker(len(ms), workers, func(w, i int) {
+		results[i] = l.labelMotif(ms[i], &scratch[w])
 	})
 	var out []*LabeledMotif
 	for _, r := range results {

@@ -158,10 +158,37 @@ func (s *Sim) Vertex(ta, tb []int32) float64 {
 // assignment (the paper's max over pair(Ia, Ib)); otherwise the pairing
 // ranges over explicit automorphisms so that occurrence correspondence
 // remains a valid embedding.
+//
+// Occurrence is the allocating form of the scratch-taking core the
+// clustering hot path uses.
 func (s *Sim) Occurrence(labelsA, labelsB [][]int32, sym *Symmetry) (so float64, pairing []int) {
+	var sc occScratch
+	so = s.occurrence(labelsA, labelsB, sym, &sc)
+	return so, sc.pairing
+}
+
+// occScratch is the reusable working memory of one occurrence-similarity
+// caller: the Hungarian solver, a flat row-major orbit score matrix, the
+// SV cache of the automorphism path, and the pairing of the last call. A
+// clustering worker owns one, so scoring a pair allocates nothing once the
+// buffers have grown to the motif size.
+type occScratch struct {
+	asg     cluster.Assigner
+	score   []float64 // |orbit|×|orbit| scores, row-major
+	sv      []float64 // nv×nv SV cache, row-major; -1 = not yet computed
+	pairing []int     // pairing of the last occurrence call, len nv
+}
+
+// occurrence is Occurrence over caller-owned scratch: it returns SO and
+// leaves the pairing in sc.pairing, valid until the next call.
+func (s *Sim) occurrence(labelsA, labelsB [][]int32, sym *Symmetry, sc *occScratch) float64 {
 	nv := len(labelsA)
+	if cap(sc.pairing) < nv {
+		sc.pairing = make([]int, nv)
+	}
+	pairing := sc.pairing[:nv]
+	sc.pairing = pairing
 	if sym.ExactOrbitPairing() {
-		pairing = make([]int, nv)
 		total := 0.0
 		for _, orb := range sym.Orbits {
 			if len(orb) == 1 {
@@ -170,47 +197,48 @@ func (s *Sim) Occurrence(labelsA, labelsB [][]int32, sym *Symmetry) (so float64,
 				total += s.Vertex(labelsA[v], labelsB[v])
 				continue
 			}
-			score := make([][]float64, len(orb))
+			k := len(orb)
+			if cap(sc.score) < k*k {
+				sc.score = make([]float64, nv*nv)
+			}
+			score := sc.score[:k*k]
 			for i, va := range orb {
-				score[i] = make([]float64, len(orb))
 				for j, vb := range orb {
-					score[i][j] = s.Vertex(labelsA[va], labelsB[vb])
+					score[i*k+j] = s.Vertex(labelsA[va], labelsB[vb])
 				}
 			}
-			assign, sum := cluster.MaxAssignment(score)
+			assign, sum := sc.asg.Solve(score, k)
 			for i, va := range orb {
 				pairing[va] = orb[assign[i]]
 			}
 			total += sum
 		}
-		return total / float64(nv), pairing
+		return total / float64(nv)
 	}
 	// Automorphism search: cache SV values, then score each permutation.
-	sv := make([][]float64, nv)
-	for i := 0; i < nv; i++ {
-		sv[i] = make([]float64, nv)
-		for j := 0; j < nv; j++ {
-			sv[i][j] = -1
-		}
+	if cap(sc.sv) < nv*nv {
+		sc.sv = make([]float64, nv*nv)
 	}
-	get := func(i, j int) float64 {
-		if sv[i][j] < 0 {
-			sv[i][j] = s.Vertex(labelsA[i], labelsB[j])
-		}
-		return sv[i][j]
+	sv := sc.sv[:nv*nv]
+	for i := range sv {
+		sv[i] = -1
 	}
 	best := -1.0
 	var bestPerm []int
 	for _, perm := range sym.Auts {
 		total := 0.0
 		for v := 0; v < nv; v++ {
-			total += get(v, perm[v])
+			x := &sv[v*nv+perm[v]]
+			if *x < 0 {
+				*x = s.Vertex(labelsA[v], labelsB[perm[v]])
+			}
+			total += *x
 		}
 		if total > best {
 			best = total
 			bestPerm = perm
 		}
 	}
-	pairing = append([]int(nil), bestPerm...)
-	return best / float64(nv), pairing
+	sc.pairing = append(pairing[:0], bestPerm...)
+	return best / float64(nv)
 }

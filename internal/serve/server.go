@@ -507,6 +507,27 @@ func parsePredictQuery(raw string, sc *scratch) (k string) {
 	return k
 }
 
+// maxBodyBytes caps every request body the replica decodes (predict
+// batches, query plans, reload requests), matching the gateway's default
+// buffered-body cap: a larger body is refused with 413 instead of being
+// decoded into an unbounded allocation.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it returns the status to answer with: 413 when the body
+// exceeds the cap, 400 for any other decode error.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return http.StatusOK, nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	tr := s.startTrace(w, r, "predict")
 	defer s.endTrace(tr, routePredict)
@@ -529,8 +550,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	case http.MethodPost:
 		var req predictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if status, err := decodeBody(w, r, &req); err != nil {
+			s.writeError(w, status, "bad request body: %v", err)
 			return
 		}
 		sc.proteins = append(sc.proteins, req.Proteins...)
@@ -618,8 +639,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	m := s.mdl.Load()
 	decodeSpan := tr.StartSpan(tr.Root(), "decode")
 	var plan query.Plan
-	if err := json.NewDecoder(r.Body).Decode(&plan); err != nil {
-		s.writeFieldError(w, http.StatusBadRequest, query.Errorf("body", "bad plan JSON: %v", err))
+	if status, err := decodeBody(w, r, &plan); err != nil {
+		s.writeFieldError(w, status, query.Errorf("body", "bad plan JSON: %v", err))
 		return
 	}
 	tr.EndSpan(decodeSpan)
@@ -760,8 +781,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reloadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if status, err := decodeBody(w, r, &req); err != nil {
+		s.writeError(w, status, "bad request body: %v", err)
 		return
 	}
 	if req.Artifact == "" {

@@ -15,8 +15,8 @@
 //	labeler := lamofinder.NewLabeler(corpus, lamofinder.DefaultLabelConfig())
 //	labeled := labeler.LabelAll(unique)
 //
-// The pipeline's heavy stages — occurrence-similarity scoring, the null
-// model, and subgraph enumeration — run on a worker pool sized by the
+// The pipeline's heavy stages — per-motif labeling, the null model, and
+// subgraph enumeration — run on a worker pool sized by the
 // Parallelism field of LabelConfig and NullModel (0 = GOMAXPROCS). Results
 // are byte-identical at every worker count: work is chunked independently
 // of the pool size, randomized stages derive one RNG stream per chunk, and
@@ -132,7 +132,7 @@ type (
 	// Labeler runs LaMoFinder over one annotated ontology branch.
 	Labeler = label.Labeler
 	// LabelConfig controls LaMoFinder; its Parallelism field caps the
-	// similarity/labeling workers (0 = GOMAXPROCS) without changing any
+	// motif-labeling workers (0 = GOMAXPROCS) without changing any
 	// output.
 	LabelConfig = label.Config
 	// LabeledMotif is a motif whose vertices carry GO label sets.
