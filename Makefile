@@ -10,7 +10,7 @@ GO ?= go
 # Hungarian solver that scratch holds (internal/cluster), the
 # chunked enumeration / per-network uniqueness fan-outs (internal/motif)
 # on top of the randnet generators, the serving stack (request handlers
-# over the LRU cache, singleflight group, and atomic counters) plus the
+# over the atomically swapped model and atomic counters) plus the
 # artifact codec it loads, the fleet router (membership probes, hedged
 # requests, rolling rollout against live replicas), the observability
 # layer (lock-free histograms, the access-log ring and its drain
@@ -23,7 +23,7 @@ RACEPKGS = ./internal/par/... ./internal/label/... ./internal/cluster/... \
 	./internal/serve/... ./internal/fleet/... ./internal/artifact/... \
 	./internal/obs/... ./internal/analysis/... ./internal/query/...
 
-.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
+.PHONY: all build vet govet lamovet vet-json lint test race alloc alloc-build fuzz-smoke bench-smoke bench-json serve-smoke load-smoke fleet-smoke query-smoke trace-smoke ci
 
 # The dated trajectory snapshot bench-json writes (and lamoload merges into).
 BENCHFILE ?= BENCH_$(shell date +%Y-%m-%d).json
@@ -63,7 +63,7 @@ test:
 race:
 	$(GO) test -race $(RACEPKGS)
 
-# alloc is the allocation-budget gate: the indexed predict handler must
+# alloc is the allocation-budget gate: the predict handler must
 # stay 0 allocs/op bare AND with the full observability layer on (trace
 # echo, per-route histograms, access logging through the ring).
 alloc:
@@ -78,6 +78,17 @@ alloc:
 # per-pair scratch.
 alloc-build:
 	$(GO) test -run TestMinerBeamAllocBudget -v .
+
+# fuzz-smoke runs each native fuzz target for 10s, one `go test -fuzz`
+# per target (the tool fuzzes one target at a time): the artifact
+# decoder, the min-weight LCA index, and the differential subgraph-matcher
+# and Hungarian-solver targets against their frozen references. Seeds
+# come from f.Add and the checked-in testdata/fuzz corpora.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/artifact
+	$(GO) test -run '^$$' -fuzz '^FuzzLCAIndex$$' -fuzztime 10s ./internal/ontology
+	$(GO) test -run '^$$' -fuzz '^FuzzMatcherMatchesReference$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzAssignerMatchesReference$$' -fuzztime 10s ./internal/cluster
 
 # bench-smoke compiles and executes every benchmark exactly once — a CI
 # guard against benchmark rot, not a measurement.
@@ -97,8 +108,8 @@ bench-json:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# load-smoke exercises the serve hot path end to end: indexed build,
-# fixed-seed lamoload in both loop modes, index-hit metrics, and the
+# load-smoke exercises the serve hot path end to end: artifact build,
+# fixed-seed lamoload in both loop modes, prediction counters, and the
 # 0 allocs/op budget on the predict handler.
 load-smoke:
 	./scripts/lamoload_smoke.sh
@@ -126,4 +137,4 @@ query-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-ci: build lint test race alloc alloc-build bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke
+ci: build lint test race alloc alloc-build fuzz-smoke bench-smoke serve-smoke load-smoke fleet-smoke query-smoke trace-smoke

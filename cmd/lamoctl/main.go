@@ -20,7 +20,7 @@
 // is byte-deterministic whenever the daemon's is; health and metrics
 // -ratios additionally lead with an "artifact=<digest>" line, because the
 // served artifact's identity is the first thing an operator checks during
-// a rollout. metrics -ratios derives error/hit rates client-side — from
+// a rollout. metrics -ratios derives the error rate client-side — from
 // one decoded snapshot, so the numerator and denominator always belong to
 // the same instant. prom prints the Prometheus text exposition. predict
 // -trace attaches an X-Request-Id and verifies the daemon echoes it.
@@ -211,7 +211,7 @@ func runHealth(args []string, stdout, stderr io.Writer) int {
 }
 
 // runMetrics prints /v1/metrics verbatim, or with -ratios derives
-// error/hit rates. All ratios come from ONE decoded snapshot struct, so
+// the error rate. All ratios come from ONE decoded snapshot struct, so
 // numerator and denominator are the same point-in-time read — fetching
 // the endpoint twice (or deriving from separately scraped values) can
 // tear: a request landing between the two reads yields rates over
@@ -220,7 +220,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lamoctl metrics", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	sf := addServerFlags(fs)
-	ratios := fs.Bool("ratios", false, "derive error/hit rates from a single snapshot instead of printing raw JSON")
+	ratios := fs.Bool("ratios", false, "derive the error rate from a single snapshot instead of printing raw JSON")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -248,10 +248,7 @@ func runMetrics(args []string, stdout, stderr io.Writer) int {
 	_, _ = fmt.Fprintf(stdout, "artifact=%s\n", snap.Artifact)
 	_, _ = fmt.Fprintf(stdout, "requests=%d errors=%d error_rate=%s\n",
 		snap.Requests, snap.Errors, ratio(snap.Errors, snap.Requests))
-	_, _ = fmt.Fprintf(stdout, "predictions=%d index_hits=%d index_hit_rate=%s\n",
-		snap.Predictions, snap.IndexHits, ratio(snap.IndexHits, snap.Predictions))
-	_, _ = fmt.Fprintf(stdout, "cache_hits=%d cache_misses=%d cache_hit_rate=%s\n",
-		snap.CacheHits, snap.CacheMisses, ratio(snap.CacheHits, snap.CacheHits+snap.CacheMisses))
+	_, _ = fmt.Fprintf(stdout, "predictions=%d\n", snap.Predictions)
 	_, _ = fmt.Fprintf(stdout, "access_log_dropped=%d\n", snap.AccessLogDropped)
 	if lat, ok := snap.Latency["predict"]; ok {
 		_, _ = fmt.Fprintf(stdout, "predict_p50_us=%d predict_p90_us=%d predict_p99_us=%d\n",
@@ -749,7 +746,6 @@ func writeQueryTable(body []byte, stdout, stderr io.Writer) int {
 type inspectSummary struct {
 	Artifact     string        `json:"artifact"`
 	Format       int           `json:"format"`
-	Indexed      bool          `json:"indexed"`
 	Dataset      string        `json:"dataset"`
 	Note         string        `json:"note,omitempty"`
 	Proteins     int           `json:"proteins"`
@@ -800,13 +796,6 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 		errf(stderr, "lamoctl inspect: %v\n", err)
 		return 1
 	}
-	format := artifact.Version1
-	if art.Index != nil {
-		format = artifact.Version
-	}
-	if len(art.Stats) > 0 {
-		format += 2 // v3 = v1 + build stats, v4 = v2 + build stats
-	}
 	stats := make([]inspectStat, 0, len(art.Stats))
 	for _, st := range art.Stats {
 		is := inspectStat{
@@ -824,8 +813,7 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 	}
 	sum := inspectSummary{
 		Artifact:     digest,
-		Format:       format,
-		Indexed:      art.Index != nil,
+		Format:       artifact.Version,
 		Dataset:      art.Dataset,
 		Note:         art.Note,
 		Proteins:     art.Graph.N(),

@@ -12,7 +12,7 @@ import (
 // lockOrderScope lists the concurrency-bearing packages (the RACEPKGS set
 // plus the commands that drive them): the par worker pool, the sharded
 // Lin cache and parallel labeler, the heap agglomerator, the chunked
-// census, the serving stack over the LRU cache and flight group, the
+// census, the serving stack over its atomically swapped model, the
 // artifact codec, and the obs ring/histograms.
 var lockOrderScope = []string{
 	"internal/par",

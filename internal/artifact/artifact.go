@@ -10,8 +10,9 @@
 // immutable file; `lamod serve` then loads the file read-only and scores
 // arbitrarily many queries against it. Save and Load round-trip
 // byte-identically (save→load→save produces the same bytes), and Load
-// refuses files with a foreign magic, a mismatched format version, or a
-// payload whose SHA-256 digest does not match the recorded one.
+// refuses files with a foreign magic, a format version other than
+// Version, or contents whose SHA-256 digest does not match the recorded
+// one.
 package artifact
 
 import (
@@ -56,20 +57,19 @@ type Artifact struct {
 	// Motifs are the mined labeled motifs with their occurrence sets.
 	Motifs []*label.LabeledMotif
 
-	// Index is the optional build-time score index (see ScoreIndex). When
-	// present the artifact encodes as format version 2 and the daemon
-	// serves predictions without scoring; when nil it encodes as version 1
-	// and the daemon scores on demand.
+	// Index is the build-time score index (see ScoreIndex) the daemon and
+	// the query engine serve from. Build leaves it nil; BuildIndex fills
+	// it, and Encode refuses an artifact without one.
 	Index *ScoreIndex
 
 	// Stats optionally records per-stage build telemetry (wall time, item
 	// counts, worker utilization) from the mining pipeline. Stats are
-	// stored after the payload (format versions 3/4) and excluded from the
-	// identity digest, so two builds of the same model keep one digest
-	// regardless of how long each stage took.
+	// stored after the score index and excluded from the identity digest,
+	// so two builds of the same model keep one digest regardless of how
+	// long each stage took.
 	Stats []obs.StageStat
 
-	digest string // hex SHA-256 of header+payload, cached by Encode/Load
+	digest string // hex SHA-256 of header+payload+index, cached by Encode/Load
 }
 
 // Build assembles and validates an artifact from pipeline outputs. direct

@@ -13,9 +13,9 @@ import (
 )
 
 // testArtifact hand-builds a small but fully populated artifact: a 6-protein
-// network, a 5-term ontology slice, annotations, and one labeled triangle
-// motif with two occurrences.
-func testArtifact(t *testing.T) *Artifact {
+// network, a 5-term ontology slice, annotations, one labeled triangle
+// motif with two occurrences, and the score index Encode requires.
+func testArtifact(t testing.TB) *Artifact {
 	t.Helper()
 	b := ontology.NewBuilder()
 	b.AddTerm("T:root", "root")
@@ -27,6 +27,7 @@ func testArtifact(t *testing.T) *Artifact {
 	b.AddRelation("T:b", "T:root", ontology.PartOf)
 	b.AddRelation("T:a1", "T:a", ontology.IsA)
 	b.AddRelation("T:b1", "T:b", ontology.IsA)
+	b.AddRelation("T:b1", "T:a", ontology.PartOf)
 	o, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -75,6 +76,7 @@ func testArtifact(t *testing.T) *Artifact {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.BuildIndex(1)
 	return a
 }
 

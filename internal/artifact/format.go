@@ -18,49 +18,40 @@ import (
 // On-disk layout (all integers little-endian):
 //
 //	offset 0   magic   "LAMOART\n" (8 bytes)
-//	offset 8   version uint32 (1, 2, 3 or 4)
-//	offset 12  plen    uint64 — payload length
-//	offset 20  payload plen bytes, canonical encoding of the Artifact
-//	offset 20+plen     [versions 3/4 only] build-stats section
+//	offset 8   version uint32 (always 4)
+//	offset 12  plen    uint64 — length of payload + score index
+//	offset 20  payload, the canonical encoding of the Artifact, followed by
+//	           the score-index section (see index.go): the dense
+//	           protein×function score matrix and the per-protein full
+//	           rankings precomputed at build time
+//	offset 20+plen     build-stats section (stage count, then per stage its
+//	                   name, wall/busy time, item and worker counts; the
+//	                   count is 0 for an artifact built without stats)
 //	trailing 32 bytes  SHA-256 digest of every preceding byte
 //
-// A version-2 payload is the version-1 payload followed by the score-index
-// section (see index.go): the dense protein×function score matrix and the
-// per-protein full rankings precomputed at build time. Versions 3 and 4
-// are versions 1 and 2 with a build-stats section (per-stage wall time,
-// item counts and worker utilization from the mining pipeline) appended
-// after the payload. Encode picks the lowest version that represents the
-// artifact — index and stats each bump it — so every model still has
-// exactly one canonical byte form and save→load→save stays byte-identical
-// in all four formats.
+// There is exactly one format: every artifact carries its score index and
+// a stats section, so every model has one canonical byte form and
+// save→load→save is byte-identical. Files of the retired versions 1–3
+// (no index, or no stats section) are refused at Decode with an error
+// that says to rebuild them; nothing converts them.
 //
 // The payload encoding is a pure function of the Artifact's contents —
 // every list is written in its canonical in-memory order (adjacency and
 // annotation lists are kept sorted by their owners) and no map is ever
 // iterated — so identical models produce identical bytes, and the digest
-// doubles as a model identity for caches and client pinning. Build stats
-// carry wall-clock measurements that differ between otherwise identical
-// builds, so the identity digest is computed over header+payload only
-// (for versions 1 and 2 that is exactly the stored trailer, preserving
-// historical digests); the trailer still covers the stats section, so
-// tampering with stats is detected even though it cannot change identity.
+// doubles as a model identity for client pinning. Decode accepts only
+// that canonical form (edges in ascending order, no repeated relation),
+// so any file it accepts re-encodes to the same bytes. Build stats carry
+// wall-clock measurements that differ between otherwise identical builds,
+// so the identity digest is computed over header+payload+index only; the
+// trailer still covers the stats section, so tampering with stats is
+// detected even though it cannot change identity.
 
 // Magic identifies a lamod artifact file.
 const Magic = "LAMOART\n"
 
-// Version1 is the unindexed format: model payload only.
-const Version1 = 1
-
-// Version is the indexed format, written for artifacts carrying a score
-// index but no build stats.
-const Version = 2
-
-// Version3 and Version4 mirror versions 1 and 2 with a build-stats
-// section appended after the payload. Load accepts versions 1-4.
-const (
-	Version3 = 3
-	Version4 = 4
-)
+// Version is the artifact format version this build writes and reads.
+const Version = 4
 
 const headerLen = len(Magic) + 4 + 8
 
@@ -69,37 +60,32 @@ const headerLen = len(Magic) + 4 + 8
 // multi-gigabyte allocation before the digest even gets verified.
 const maxCount = 1 << 28
 
-// Encode renders the artifact to its canonical byte form (header, payload,
-// optional stats section, digest) and caches the identity digest.
+// Encode renders the artifact to its canonical byte form (header,
+// payload, score index, stats section, digest) and caches the identity
+// digest. The score index is mandatory: call BuildIndex first.
 func (a *Artifact) Encode() ([]byte, error) {
+	if a.Index == nil {
+		return nil, fmt.Errorf("artifact: no score index (call BuildIndex before encoding)")
+	}
 	e := &enc{}
 	if err := a.encodePayload(e); err != nil {
 		return nil, err
 	}
-	version := uint32(Version1)
-	if a.Index != nil {
-		version = Version
-		if err := a.encodeIndex(e); err != nil {
-			return nil, err
-		}
-	}
-	if len(a.Stats) > 0 {
-		version += 2 // 1→3, 2→4
+	if err := a.encodeIndex(e); err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, headerLen+len(e.buf)+sha256.Size)
 	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(e.buf)))
 	out = append(out, e.buf...)
-	// Identity stops at the payload: stats carry wall-clock noise that must
+	// Identity stops at the index: stats carry wall-clock noise that must
 	// not distinguish otherwise identical models.
 	id := sha256.Sum256(out)
 	a.digest = hex.EncodeToString(id[:])
-	if len(a.Stats) > 0 {
-		se := &enc{}
-		encodeStats(se, a.Stats)
-		out = append(out, se.buf...)
-	}
+	se := &enc{}
+	encodeStats(se, a.Stats)
+	out = append(out, se.buf...)
 	sum := sha256.Sum256(out)
 	out = append(out, sum[:]...)
 	return out, nil
@@ -135,18 +121,13 @@ func Decode(b []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact: not a lamod artifact (bad magic)")
 	}
 	version := binary.LittleEndian.Uint32(b[len(Magic):])
-	if version < Version1 || version > Version4 {
-		return nil, fmt.Errorf("artifact: format version %d, this build reads versions %d-%d", version, Version1, Version4)
+	if version != Version {
+		return nil, fmt.Errorf("artifact: format version %d is not supported (this build reads version %d only); rebuild the model with `lamod build`", version, Version)
 	}
-	hasStats := version >= Version3
-	hasIndex := version == Version || version == Version4
 	body := uint64(len(b) - headerLen - sha256.Size)
 	plen := binary.LittleEndian.Uint64(b[len(Magic)+4:])
-	if hasStats && plen >= body {
+	if plen >= body {
 		return nil, fmt.Errorf("artifact: payload length %d leaves no stats section in %d-byte file", plen, len(b))
-	}
-	if !hasStats && plen != body {
-		return nil, fmt.Errorf("artifact: payload length %d does not match file size %d", plen, len(b))
 	}
 	sum := sha256.Sum256(b[:len(b)-sha256.Size])
 	var stored [sha256.Size]byte
@@ -159,25 +140,18 @@ func Decode(b []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasIndex {
-		ix, err := decodeIndex(d, a)
-		if err != nil {
-			return nil, err
-		}
-		a.Index = ix
+	if a.Index, err = decodeIndex(d, a); err != nil {
+		return nil, err
 	}
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("artifact: %d trailing payload bytes", len(d.b)-d.off)
 	}
-	if hasStats {
-		sd := &dec{b: b[headerLen+int(plen) : len(b)-sha256.Size]}
-		a.Stats, err = decodeStats(sd)
-		if err != nil {
-			return nil, err
-		}
-		if sd.off != len(sd.b) {
-			return nil, fmt.Errorf("artifact: %d trailing stats bytes", len(sd.b)-sd.off)
-		}
+	sd := &dec{b: b[headerLen+int(plen) : len(b)-sha256.Size]}
+	if a.Stats, err = decodeStats(sd); err != nil {
+		return nil, err
+	}
+	if sd.off != len(sd.b) {
+		return nil, fmt.Errorf("artifact: %d trailing stats bytes", len(sd.b)-sd.off)
 	}
 	id := sha256.Sum256(b[:headerLen+int(plen)])
 	a.digest = hex.EncodeToString(id[:])
@@ -313,11 +287,17 @@ func decodePayload(d *dec) (*Artifact, error) {
 		a.Graph.SetName(v, d.str())
 	}
 	m := d.count(8)
+	pu, pv := -1, -1
 	for i := 0; i < m && d.err == nil; i++ {
 		u := d.index(n, "edge endpoint")
 		v := d.index(n, "edge endpoint")
-		if d.err == nil && !a.Graph.AddEdge(u, v) {
-			d.fail("duplicate or degenerate edge {%d,%d}", u, v)
+		// Graph.Edges order: u < v, ascending by (u, v).
+		if d.err == nil && (u >= v || u < pu || (u == pu && v <= pv)) {
+			d.fail("edge {%d,%d} out of canonical order", u, v)
+		}
+		if d.err == nil {
+			a.Graph.AddEdge(u, v)
+			pu, pv = u, v
 		}
 	}
 
@@ -345,6 +325,10 @@ func decodePayload(d *dec) (*Artifact, error) {
 		typ           ontology.RelType
 	}
 	var rels []rel
+	lastChild := make([]int, nt) // lastChild[p] = last term listing parent p
+	for i := range lastChild {
+		lastChild[i] = -1
+	}
 	for t := 0; t < nt && d.err == nil; t++ {
 		pc := d.count(5)
 		for i := 0; i < pc && d.err == nil; i++ {
@@ -353,6 +337,12 @@ func decodePayload(d *dec) (*Artifact, error) {
 			if typ != ontology.IsA && typ != ontology.PartOf {
 				d.fail("unknown relation type %d", typ)
 			}
+			// The ontology builder drops a repeated relation, which would
+			// change the bytes on re-encode.
+			if d.err == nil && lastChild[p] == t {
+				d.fail("term %d lists parent %d twice", t, p)
+			}
+			lastChild[p] = t
 			rels = append(rels, rel{t, p, typ})
 		}
 	}
@@ -405,6 +395,7 @@ func decodePayload(d *dec) (*Artifact, error) {
 		}
 		lm := &label.LabeledMotif{Pattern: graph.NewDense(nv), Labels: make([][]int32, nv)}
 		ec := d.count(2)
+		pu, pv := -1, -1
 		for i := 0; i < ec && d.err == nil; i++ {
 			u := int(d.u8())
 			v := int(d.u8())
@@ -412,7 +403,13 @@ func decodePayload(d *dec) (*Artifact, error) {
 				d.fail("motif %d edge {%d,%d} out of range", mi, u, v)
 				break
 			}
+			// encodePayload order: u < v, ascending by (v, u).
+			if v < pv || (v == pv && u <= pu) {
+				d.fail("motif %d edge {%d,%d} out of canonical order", mi, u, v)
+				break
+			}
 			lm.Pattern.AddEdge(u, v)
+			pu, pv = u, v
 		}
 		for v := 0; v < nv && d.err == nil; v++ {
 			lc := d.count(4)

@@ -7,19 +7,18 @@ import (
 	"lamofinder/internal/predict"
 )
 
-// ScoreIndex is the build-time score index introduced by format version 2:
-// the dense protein×function Eq.-5 score matrix plus the full ranking of
+// ScoreIndex is the build-time score index every artifact carries: the
+// dense protein×function Eq.-5 score matrix plus the full ranking of
 // every protein, both computed once at `lamod build` time. A serving
 // process answers a prediction from the index with two slice reads — no
-// scoring, no sorting, no allocation — and a v1 artifact without an index
-// simply falls back to on-demand scoring.
+// scoring, no sorting, no allocation.
 //
 // The index is derived state: it is a pure function of the rest of the
 // artifact (the same scorer constructor every offline consumer uses), so
-// an indexed and an unindexed artifact of the same model serve identical
-// bytes. It is nevertheless carried inside the checksummed payload, not
-// recomputed at load, because recomputing would put the expensive half of
-// Eq. 5 back on the serving path the index exists to remove.
+// served rankings equal the offline scorer's. It is nevertheless carried
+// inside the checksummed payload, not recomputed at load, because
+// recomputing would put the expensive half of Eq. 5 back on the serving
+// path the index exists to remove.
 type ScoreIndex struct {
 	numFunctions int
 	// scores[p*numFunctions+f] is protein p's score for function f.
@@ -53,8 +52,8 @@ func (ix *ScoreIndex) Ranking(p int) []predict.Ranked {
 }
 
 // BuildIndex scores every protein on the worker pool and attaches the
-// result as the artifact's score index, upgrading its encoded form to
-// format version 2. parallelism <= 0 uses GOMAXPROCS workers; the result
+// result as the artifact's score index, which Encode requires.
+// parallelism <= 0 uses GOMAXPROCS workers; the result
 // is identical at any setting because each protein writes only its own
 // row and ranking slot.
 func (a *Artifact) BuildIndex(parallelism int) {
@@ -74,7 +73,7 @@ func (a *Artifact) BuildIndex(parallelism int) {
 	a.digest = "" // the encoded form (and so the identity) changed
 }
 
-// encodeIndex appends the score-index section (format v2 only).
+// encodeIndex appends the score-index section after the payload.
 func (a *Artifact) encodeIndex(e *enc) error {
 	ix := a.Index
 	n := a.Graph.N()

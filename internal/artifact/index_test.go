@@ -2,7 +2,9 @@ package artifact
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,31 +17,8 @@ func fileVersion(b []byte) uint32 {
 	return binary.LittleEndian.Uint32(b[len(Magic):])
 }
 
-func TestEncodeVersionTracksIndex(t *testing.T) {
-	a := testArtifact(t)
-	plain, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fileVersion(plain); v != Version1 {
-		t.Fatalf("unindexed artifact encoded as version %d, want %d", v, Version1)
-	}
-	a.BuildIndex(2)
-	indexed, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fileVersion(indexed); v != Version {
-		t.Fatalf("indexed artifact encoded as version %d, want %d", v, Version)
-	}
-	if len(indexed) <= len(plain) {
-		t.Fatalf("index section added no bytes: %d vs %d", len(indexed), len(plain))
-	}
-}
-
 func TestIndexRoundTripByteIdentical(t *testing.T) {
 	a := testArtifact(t)
-	a.BuildIndex(3)
 	first, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +35,7 @@ func TestIndexRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Fatalf("v2 save→load→save not byte-identical: %d vs %d bytes", len(first), len(second))
+		t.Fatalf("save→load→save not byte-identical: %d vs %d bytes", len(first), len(second))
 	}
 
 	// The reconstructed index must replay the scorer exactly.
@@ -72,49 +51,26 @@ func TestIndexRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
-// TestV1ArtifactStillLoads pins backward compatibility: version-1 bytes
-// (what every pre-index build wrote) decode into a working, unindexed
-// artifact.
-func TestV1ArtifactStillLoads(t *testing.T) {
-	a := testArtifact(t)
-	v1, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fileVersion(v1) != Version1 {
-		t.Fatalf("fixture encoded as version %d", fileVersion(v1))
-	}
-	loaded, err := Decode(v1)
-	if err != nil {
-		t.Fatalf("v1 artifact refused: %v", err)
-	}
-	if loaded.Index != nil {
-		t.Fatal("v1 artifact decoded with an index")
-	}
-	if loaded.NewScorer().Coverage() == 0 {
-		t.Fatal("v1 artifact lost its motifs")
-	}
-}
-
-// TestIndexTamperRejected flips bits across the index section (the bytes a
-// v1 payload does not have) and requires every variant to be rejected by
+// TestIndexTamperRejected flips bits across the index section (the bytes
+// after the model payload) and requires every variant to be rejected by
 // the digest check.
 func TestIndexTamperRejected(t *testing.T) {
 	a := testArtifact(t)
-	plainLen := func() int {
-		b, err := a.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(b)
-	}()
-	a.BuildIndex(1)
+	e := &enc{}
+	if err := a.encodePayload(e); err != nil {
+		t.Fatal(err)
+	}
+	indexStart := headerLen + len(e.buf)
 	good, err := a.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The index section occupies the payload bytes beyond the v1 encoding.
-	for off := plainLen - 40; off < len(good); off += 3 {
+	plen := binary.LittleEndian.Uint64(good[len(Magic)+4:])
+	indexEnd := headerLen + int(plen)
+	if indexStart >= indexEnd {
+		t.Fatalf("no index bytes between offsets %d and %d", indexStart, indexEnd)
+	}
+	for off := indexStart; off < indexEnd; off += 3 {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0x08
 		if _, err := Decode(bad); err == nil {
@@ -131,7 +87,6 @@ func TestIndexConsistencyValidated(t *testing.T) {
 	mutate := func(t *testing.T, f func(ix *ScoreIndex) bool, wantErr string) {
 		t.Helper()
 		a := testArtifact(t)
-		a.BuildIndex(1)
 		if !f(a.Index) {
 			t.Skip("fixture shape cannot express this mutation")
 		}
@@ -170,41 +125,54 @@ func TestIndexConsistencyValidated(t *testing.T) {
 	}, "positive scores")
 }
 
-// TestDigestChangesIffIndexChanges: attaching the index changes the model
-// identity, rebuilding the same index does not, and rebuilding at a
-// different parallelism does not either.
+// TestDigestChangesIffIndexChanges: the index is inside the identity, so
+// rebuilding the same index keeps the digest at any parallelism, while a
+// changed score changes it.
 func TestDigestChangesIffIndexChanges(t *testing.T) {
-	digest := func(t *testing.T, build func(a *Artifact)) string {
+	digest := func(t *testing.T, a *Artifact) string {
 		t.Helper()
-		a := testArtifact(t)
-		if build != nil {
-			build(a)
-		}
 		d, err := a.Digest()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	plain := digest(t, nil)
-	ix1 := digest(t, func(a *Artifact) { a.BuildIndex(1) })
-	ix4 := digest(t, func(a *Artifact) { a.BuildIndex(4) })
-	if plain == ix1 {
-		t.Fatal("digest unchanged by adding the score index")
+	base := digest(t, testArtifact(t))
+	for _, workers := range []int{1, 4} {
+		a := testArtifact(t)
+		a.BuildIndex(workers)
+		if d := digest(t, a); d != base {
+			t.Fatalf("index digest depends on build parallelism %d: %s vs %s", workers, d, base)
+		}
 	}
-	if ix1 != ix4 {
-		t.Fatalf("index digest depends on build parallelism: %s vs %s", ix1, ix4)
-	}
-	// Dropping the index restores the v1 identity.
 	a := testArtifact(t)
-	a.BuildIndex(2)
-	a.Index = nil
+	a.Index.scores[0] += 0.5
 	a.digest = ""
-	d, err := a.Digest()
+	if d := digest(t, a); d == base {
+		t.Fatal("digest unchanged by a changed index score")
+	}
+}
+
+// TestLegacyVersionsRejected: the retired formats 1-3 are refused even
+// behind a valid trailer, with an error that names the version and says
+// to rebuild, and an artifact without a score index does not encode.
+func TestLegacyVersionsRejected(t *testing.T) {
+	good, err := testArtifact(t).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != plain {
-		t.Fatalf("dropping the index did not restore the v1 digest: %s vs %s", d, plain)
+	for _, v := range []uint32{1, 2, 3} {
+		old := append([]byte(nil), good[:len(good)-sha256.Size]...)
+		binary.LittleEndian.PutUint32(old[len(Magic):], v)
+		_, err := Decode(seal(old))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) ||
+			!strings.Contains(err.Error(), "rebuild") {
+			t.Fatalf("version %d: got %v, want a rebuild error naming the version", v, err)
+		}
+	}
+	a := testArtifact(t)
+	a.Index = nil
+	if _, err := a.Encode(); err == nil {
+		t.Fatal("Encode accepted an artifact without a score index")
 	}
 }

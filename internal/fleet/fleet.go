@@ -10,7 +10,7 @@
 // ejected with exponential backoff and readmitted on the first success.
 // /v1/predict traffic is routed by consistent hashing on the protein ID
 // over a deterministic virtual-node ring, so the same protein always
-// lands on the same replica and each replica's ranking LRU stays hot.
+// lands on the same replica.
 // Failed requests retry on the next distinct replica in ring order, and a
 // hedged second request fires after a p99-derived delay so one slow
 // replica cannot hold the tail.

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"lamofinder/internal/artifact"
 	"lamofinder/internal/dataset"
 	"lamofinder/internal/label"
+	"lamofinder/internal/predict"
 )
 
 // plantedMotifs converts the benchmark's planted templates into
@@ -384,35 +386,32 @@ func TestDeterministicAcrossParallelismAndRuns(t *testing.T) {
 	}
 }
 
-// TestIndexedAndFallbackViewsAgree builds the view once from the indexed
-// artifact and once from a v1 artifact without a score index (forcing the
-// on-demand scoring path) and requires byte-identical results — the view
-// is derived state, whichever way it is derived.
+// TestIndexedAndFallbackViewsAgree pins the view to the offline scorer:
+// every column entry and every ranking must equal label.NewScorer's Eq.-5
+// scores and predict.TopK over them — the view is derived state. A view
+// over an artifact without a score index is refused.
 func TestIndexedAndFallbackViewsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fallback view scores the whole interactome")
+		t.Skip("scores the whole interactome offline")
 	}
-	m := dataset.NewMIPS(dataset.DefaultMIPSConfig())
-	art, err := artifact.Build("mips-synthetic", "query test fixture",
-		m.Task, m.CategoryNames(), m.Corpus, m.Corpus.DirectCounts(), 30, plantedMotifs(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewView(art, 0) // no index: scores computed here
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed := mipsView()
-	for pi, plan := range determinismPlans() {
-		a, _ := run(t, indexed, plan, 0)
-		bb, _ := run(t, plain, plan, 0)
-		// The digests differ (index changes the encoded artifact), so
-		// compare past the artifact header.
-		ah := a[bytes.IndexByte(a, ','):]
-		bh := bb[bytes.IndexByte(bb, ','):]
-		if !bytes.Equal(ah, bh) {
-			t.Fatalf("plan %d: indexed and fallback views disagree", pi)
+	art := mipsArtifact()
+	v := mipsView()
+	scorer := label.NewScorer(art.Task(), art.Motifs)
+	for p := 0; p < art.Graph.N(); p++ {
+		row := scorer.Scores(p)
+		for fn, s := range row {
+			if got := v.Column(fn)[p]; got != s {
+				t.Fatalf("cols[%d][%d] = %v, offline scorer says %v", fn, p, got, s)
+			}
 		}
+		if want := predict.TopK(row, 0); !reflect.DeepEqual(v.Ranking(p), want) {
+			t.Fatalf("protein %d: view ranking %v, offline %v", p, v.Ranking(p), want)
+		}
+	}
+	bare := *art
+	bare.Index = nil
+	if _, err := NewView(&bare, 0); err == nil {
+		t.Fatal("NewView accepted an artifact without a score index")
 	}
 }
 

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+
 	"lamofinder/internal/artifact"
 	"lamofinder/internal/par"
 	"lamofinder/internal/predict"
@@ -10,10 +12,9 @@ import (
 // row-major protein×function score matrix transposed into category-major
 // float64 columns, alongside dense protein attribute columns (degree,
 // annotated bitset) and the per-protein rankings the row-major index
-// already carries. It is built once at model load, next to — not instead
-// of — the existing ScoreIndex: /v1/predict keeps its two-slice-read row
-// path, while bulk plans scan cols[f*n : (f+1)*n] as one contiguous
-// stride-1 pass per category.
+// already carries. It is built once at model load. /v1/predict serves a
+// prefix of Ranking(p), while bulk plans scan cols[f*n : (f+1)*n] as one
+// contiguous stride-1 pass per category.
 //
 // A View is immutable after construction; the daemon shares one across
 // every request goroutine, and it pins to the model snapshot it was built
@@ -38,22 +39,26 @@ type View struct {
 	// fnNames[f] is category f's display name.
 	fnNames []string
 
-	// ranked[p] is protein p's full descending ranking (positive scores
-	// only, ties toward the smaller function index) — aliased from the
-	// artifact's ScoreIndex when present, computed once here otherwise.
-	// Per-protein plans serve straight from it, which is what makes a
-	// topk(protein=p) plan byte-equal to /v1/predict.
-	ranked [][]predict.Ranked
+	// ix holds protein p's full descending ranking (positive scores only,
+	// ties toward the smaller function index) as ix.Ranking(p).
+	// Per-protein plans and /v1/predict both serve straight from it, which
+	// is what makes a topk(protein=p) plan byte-equal to /v1/predict.
+	ix *artifact.ScoreIndex
 
 	digest string
 }
 
-// NewView builds the columnar view of art. parallelism <= 0 uses
-// GOMAXPROCS workers; the result is identical at any setting because every
-// protein writes only its own strided column slots. The transpose costs
-// one pass over the score matrix (n×nf float64 reads and writes) and is
-// paid once per model load, not per query.
+// NewView builds the columnar view of art, which must carry its score
+// index. parallelism <= 0 uses GOMAXPROCS workers; the result is
+// identical at any setting because every protein writes only its own
+// strided column slots. The transpose costs one pass over the score
+// matrix (n×nf float64 reads and writes) and is paid once per model load,
+// not per query.
 func NewView(art *artifact.Artifact, parallelism int) (*View, error) {
+	ix := art.Index
+	if ix == nil {
+		return nil, errors.New("query: artifact has no score index")
+	}
 	digest, err := art.Digest()
 	if err != nil {
 		return nil, err
@@ -67,38 +72,16 @@ func NewView(art *artifact.Artifact, parallelism int) (*View, error) {
 		annotated: make([]uint64, (n+63)/64),
 		names:     make([]string, n),
 		byName:    make(map[string]int, n),
+		ix:        ix,
 		fnNames:   art.FunctionNames,
 		digest:    digest,
 	}
 
-	ix := art.Index
-	var scorer *predict.LabeledMotif
-	if ix == nil {
-		// v1 artifact without a build-time index: score on demand, once,
-		// exactly as the daemon's fallback path would per request.
-		scorer = art.NewScorer()
-		v.ranked = make([][]predict.Ranked, n)
-	} else {
-		v.ranked = rankings(ix, n)
-	}
-
-	workers := par.Workers(parallelism)
-	if ix != nil {
-		par.Do(n, workers, func(p int) {
-			row := ix.Row(p)
-			for f, s := range row {
-				v.cols[f*n+p] = s
-			}
-		})
-	} else {
-		par.Do(n, workers, func(p int) {
-			row := scorer.Scores(p)
-			for f, s := range row {
-				v.cols[f*n+p] = s
-			}
-			v.ranked[p] = predict.TopK(row, 0)
-		})
-	}
+	par.Do(n, par.Workers(parallelism), func(p int) {
+		for f, s := range ix.Row(p) {
+			v.cols[f*n+p] = s
+		}
+	})
 
 	for p := 0; p < n; p++ {
 		v.degree[p] = int32(art.Graph.Degree(p))
@@ -110,15 +93,6 @@ func NewView(art *artifact.Artifact, parallelism int) (*View, error) {
 		}
 	}
 	return v, nil
-}
-
-// rankings aliases the index's per-protein ranking slices.
-func rankings(ix *artifact.ScoreIndex, n int) [][]predict.Ranked {
-	rk := make([][]predict.Ranked, n)
-	for p := 0; p < n; p++ {
-		rk[p] = ix.Ranking(p)
-	}
-	return rk
 }
 
 // NumProteins returns the number of proteins in the view.
@@ -140,7 +114,9 @@ func (v *View) Resolve(name string) (int, bool) {
 func (v *View) Name(p int) string { return v.names[p] }
 
 // Ranking returns protein p's full descending ranking (read-only).
-func (v *View) Ranking(p int) []predict.Ranked { return v.ranked[p] }
+//
+// alloc-budget: 0
+func (v *View) Ranking(p int) []predict.Ranked { return v.ix.Ranking(p) }
 
 // Column returns category f's contiguous score column (read-only).
 func (v *View) Column(f int) []float64 { return v.cols[f*v.n : (f+1)*v.n] }

@@ -19,17 +19,16 @@ func (w *discardResponseWriter) Header() http.Header         { return w.h }
 func (w *discardResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardResponseWriter) WriteHeader(int)             {}
 
-// TestPredictHotPathAllocs is the tentpole's allocation budget: on an
-// indexed artifact, a warmed-up GET /v1/predict must average under one
-// allocation per request through handlePredict. (The instrument/timeout
+// TestPredictHotPathAllocs is the predict handler's allocation budget: a
+// warmed-up GET /v1/predict must average under one allocation per request
+// through handlePredict. (The instrument/timeout
 // middleware and net/http connection handling allocate on their own and
 // are excluded — the claim is about the prediction path.)
 func TestPredictHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime defeats sync.Pool reuse on purpose; the budget only holds in normal builds")
 	}
-	v2, _ := indexedModel(t)
-	s, err := New(v2, Config{})
+	s, err := New(servedModel(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,22 +46,21 @@ func TestPredictHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestInstrumentedPredictAllocs is the tentpole's acceptance gate: the
+// TestInstrumentedPredictAllocs is the serving path's allocation gate: the
 // FULL per-request observability layer — trace-ID echo, per-route latency
 // histogram, access logging through the ring, and span tracing (a valid
 // client X-Request-Id forces sampling, so every measured request records
 // a full span tree, publishes it to the trace store, and pushes a trace
-// summary) — must hold an exact zero-allocation budget around the indexed
-// predict handler. AllocsPerRun counts mallocs across all goroutines, so
-// the drain goroutine's log encoding is inside the budget too. The
+// summary) — must hold an exact zero-allocation budget around the predict
+// handler. AllocsPerRun counts mallocs across all goroutines, so the
+// drain goroutine's log encoding is inside the budget too. The
 // TimeoutHandler stays excluded (net/http allocates internally); the
 // claim is about this project's code.
 func TestInstrumentedPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime defeats sync.Pool reuse on purpose; the budget only holds in normal builds")
 	}
-	v2, _ := indexedModel(t)
-	s, err := New(v2, Config{
+	s, err := New(servedModel(t), Config{
 		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
 	})
 	if err != nil {
@@ -100,8 +98,7 @@ func TestInstrumentedPredictAllocs(t *testing.T) {
 // BenchmarkHandlerPredictIndexed: same request, but through the
 // observability middleware with access logging on.
 func BenchmarkHandlerPredictInstrumented(b *testing.B) {
-	v2, _ := indexedModel(b)
-	s, err := New(v2, Config{
+	s, err := New(servedModel(b), Config{
 		Logger: obs.NewLogger(io.Discard, obs.LevelInfo, obs.FormatJSON),
 	})
 	if err != nil {
@@ -123,27 +120,7 @@ func BenchmarkHandlerPredictInstrumented(b *testing.B) {
 // BenchmarkHandlerPredictIndexed measures the handler over the score
 // index: the numbers feed the allocs/op budget in make bench-json.
 func BenchmarkHandlerPredictIndexed(b *testing.B) {
-	v2, _ := indexedModel(b)
-	s, err := New(v2, Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/v1/predict?protein=p1&protein=p5&protein=p13&k=5", nil)
-	w := &discardResponseWriter{h: make(http.Header, 4)}
-	s.handlePredict(w, req)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.handlePredict(w, req)
-	}
-}
-
-// BenchmarkHandlerPredictFallback is the same request against the same
-// model without an index: LRU-cached on-demand scoring, for the before
-// side of the hot-path comparison.
-func BenchmarkHandlerPredictFallback(b *testing.B) {
-	_, v1 := indexedModel(b)
-	s, err := New(v1, Config{Parallelism: 1})
+	s, err := New(servedModel(b), Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,8 +138,7 @@ func BenchmarkHandlerPredictFallback(b *testing.B) {
 // mux, timeout handler, loopback TCP — so the hot-path numbers above can
 // be read against what a client actually observes.
 func BenchmarkServerPredictE2E(b *testing.B) {
-	v2, _ := indexedModel(b)
-	ts := newTestServer(b, v2, Config{})
+	ts := newTestServer(b, servedModel(b), Config{})
 	client := ts.Client()
 	url := ts.URL + "/v1/predict?protein=p1&protein=p5&protein=p13&k=5"
 	buf := make([]byte, 4096)

@@ -10,77 +10,74 @@ import (
 	"lamofinder/internal/artifact"
 )
 
-// indexedModel returns the paper-example artifact with its score index
-// built and round-tripped through the v2 encoding, alongside the same
-// model as a v1 (index-free) artifact.
-func indexedModel(t testing.TB) (v2, v1 *artifact.Artifact) {
+// servedModel returns the paper-example artifact round-tripped through its
+// encoded form, as a daemon loads it from disk.
+func servedModel(t testing.TB) *artifact.Artifact {
 	t.Helper()
 	art, _, _ := exampleModel(t)
-	v1 = reload(t, art)
-	art.BuildIndex(2)
-	v2 = reload(t, art)
-	if v2.Index == nil {
-		t.Fatal("index lost through encode/decode")
-	}
-	return v2, v1
+	return reload(t, art)
 }
 
-// TestIndexedServesIdenticalBytes is the acceptance gate for the serve hot
-// path: a v2 (indexed) artifact and the same model as a v1 artifact must
-// produce byte-identical /v1/predict responses for every protein and k —
-// and since TestPredictMatchesOfflineScorer pins the v1 server to the
-// offline predictfn scoring path, the indexed bytes match offline too.
-// The artifact digest is the one legitimate difference (the v2 encoding
-// includes the index, so the model identity changes); it is spliced to a
-// placeholder before comparing, and everything else must match exactly.
+// TestIndexedServesIdenticalBytes: an index built with one worker and
+// served from memory, and an index built with four workers and loaded
+// from the encoded file, produce the same artifact digest and
+// byte-identical /v1/predict responses for every protein and k. The index
+// is the only ranking path, so it must not depend on how it was built or
+// whether it went through Encode/Decode; TestPredictMatchesOfflineScorer
+// pins those bytes to the offline scorer.
 func TestIndexedServesIdenticalBytes(t *testing.T) {
-	v2, v1 := indexedModel(t)
-	sv2 := newTestServer(t, v2, Config{})
-	sv1 := newTestServer(t, v1, Config{Parallelism: 4})
-	d2, err := v2.Digest()
+	serial, _, _ := exampleModel(t)
+	serial.BuildIndex(1)
+	fanned, _, _ := exampleModel(t)
+	fanned.BuildIndex(4)
+	loaded := reload(t, fanned)
+	ds, err := serial.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := v1.Digest()
+	dl, err := loaded.Digest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := 0; p < v2.Graph.N(); p++ {
-		name := v2.Graph.Name(p)
+	if ds != dl {
+		t.Fatalf("digest %s (serial, in memory) vs %s (parallel, decoded)", ds, dl)
+	}
+	ts1 := newTestServer(t, serial, Config{})
+	ts2 := newTestServer(t, loaded, Config{Parallelism: 4})
+	for p := 0; p < serial.Graph.N(); p++ {
+		name := serial.Graph.Name(p)
 		for _, k := range []int{1, 3, 7, 0} {
 			q := fmt.Sprintf("/v1/predict?protein=%s&k=%d", name, k)
-			st2, b2 := get(t, sv2.URL+q)
-			st1, b1 := get(t, sv1.URL+q)
-			if st2 != http.StatusOK || st1 != http.StatusOK {
-				t.Fatalf("%s k=%d: status %d vs %d", name, k, st2, st1)
+			st1, b1 := get(t, ts1.URL+q)
+			st2, b2 := get(t, ts2.URL+q)
+			if st1 != http.StatusOK || st2 != http.StatusOK {
+				t.Fatalf("%s k=%d: status %d vs %d", name, k, st1, st2)
 			}
-			// The digest is the only legitimate difference: v2 bytes include
-			// the index, so the model identity differs. Splice it out.
-			b2n := bytes.Replace(b2, []byte(d2), []byte("DIGEST"), 1)
-			b1n := bytes.Replace(b1, []byte(d1), []byte("DIGEST"), 1)
-			if !bytes.Equal(b2n, b1n) {
-				t.Fatalf("%s k=%d: indexed response differs from fallback:\n%s\nvs\n%s", name, k, b2, b1)
+			if !bytes.Equal(b1, b2) {
+				t.Fatalf("%s k=%d: in-memory response differs from decoded:\n%s\nvs\n%s", name, k, b1, b2)
 			}
 		}
 	}
 }
 
-// TestIndexedBatchDeterministicAcrossParallelism mirrors the v1
-// determinism gate on the index path: identical bytes across runs and
-// Parallelism settings (the index path never touches the worker pool, but
-// the config must not change bytes either way).
+// TestIndexedBatchDeterministicAcrossParallelism: the index BuildIndex
+// computes in memory and the index decoded from the file serve identical
+// batch bytes, across runs and Parallelism settings (predict never touches
+// the worker pool, but the config must not change bytes either way).
 func TestIndexedBatchDeterministicAcrossParallelism(t *testing.T) {
-	v2, _ := indexedModel(t)
+	built, _, _ := exampleModel(t)
 	query := "/v1/predict?protein=p1&protein=p5&protein=p13&k=5"
 	var bodies [][]byte
-	for _, parallelism := range []int{1, 4} {
-		ts := newTestServer(t, v2, Config{Parallelism: parallelism})
-		for run := 0; run < 2; run++ {
-			status, body := get(t, ts.URL+query)
-			if status != http.StatusOK {
-				t.Fatalf("parallelism %d run %d: status %d: %s", parallelism, run, status, body)
+	for _, art := range []*artifact.Artifact{built, reload(t, built)} {
+		for _, parallelism := range []int{1, 4} {
+			ts := newTestServer(t, art, Config{Parallelism: parallelism})
+			for run := 0; run < 2; run++ {
+				status, body := get(t, ts.URL+query)
+				if status != http.StatusOK {
+					t.Fatalf("parallelism %d run %d: status %d: %s", parallelism, run, status, body)
+				}
+				bodies = append(bodies, body)
 			}
-			bodies = append(bodies, body)
 		}
 	}
 	for i := 1; i < len(bodies); i++ {
@@ -90,55 +87,44 @@ func TestIndexedBatchDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestIndexHitMetrics: the index path counts hits and never touches the
-// fallback cache; the v1 path reports zero index hits.
+// TestIndexHitMetrics: every protein a predict request answers from the
+// score index counts once in predictions.
 func TestIndexHitMetrics(t *testing.T) {
-	v2, v1 := indexedModel(t)
-	s2, err := New(v2, Config{})
+	s, err := New(servedModel(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	for i := 0; i < 2; i++ {
-		if status, body := get(t, ts2.URL+"/v1/predict?protein=p1&protein=p2&k=3"); status != http.StatusOK {
-			t.Fatalf("indexed predict: %d: %s", status, body)
+		if status, body := get(t, ts.URL+"/v1/predict?protein=p1&protein=p2&k=3"); status != http.StatusOK {
+			t.Fatalf("predict: %d: %s", status, body)
 		}
 	}
-	m := s2.Metrics()
-	if m.IndexHits != 4 || m.Predictions != 4 {
-		t.Fatalf("indexed metrics: %+v", m)
+	if m := s.Metrics(); m.Predictions != 4 {
+		t.Fatalf("metrics: %+v", m)
 	}
-	if m.CacheHits != 0 || m.CacheMisses != 0 || m.CacheEntries != 0 {
-		t.Fatalf("index path touched the fallback cache: %+v", m)
-	}
+}
 
-	s1, err := New(v1, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	if status, body := get(t, ts1.URL+"/v1/predict?protein=p1&k=3"); status != http.StatusOK {
-		t.Fatalf("fallback predict: %d: %s", status, body)
-	}
-	if m := s1.Metrics(); m.IndexHits != 0 || m.CacheMisses != 1 {
-		t.Fatalf("fallback metrics: %+v", m)
-	}
-	if s2.Indexed() == s1.Indexed() {
-		t.Fatal("Indexed() does not distinguish v2 from v1")
+// TestNewRequiresIndex: a server cannot be built over an artifact without
+// a score index, because every prediction is read from it.
+func TestNewRequiresIndex(t *testing.T) {
+	art := servedModel(t)
+	art.Index = nil
+	if _, err := New(art, Config{}); err == nil {
+		t.Fatal("New accepted an artifact without a score index")
 	}
 }
 
 // TestPprofGating: the profiling endpoints exist only when opted in, and
 // mount outside the deadlined chain.
 func TestPprofGating(t *testing.T) {
-	v2, _ := indexedModel(t)
-	off := newTestServer(t, v2, Config{})
+	art := servedModel(t)
+	off := newTestServer(t, art, Config{})
 	if status, _ := get(t, off.URL+"/debug/pprof/cmdline"); status != http.StatusNotFound {
 		t.Fatalf("pprof reachable without opt-in: %d", status)
 	}
-	on := newTestServer(t, v2, Config{EnablePprof: true})
+	on := newTestServer(t, art, Config{EnablePprof: true})
 	if status, body := get(t, on.URL+"/debug/pprof/cmdline"); status != http.StatusOK {
 		t.Fatalf("pprof cmdline with opt-in: %d: %s", status, body)
 	}

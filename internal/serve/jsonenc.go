@@ -11,7 +11,7 @@ import (
 // Responses were previously rendered by encoding/json over response
 // structs; the append-style encoder below produces byte-identical output
 // for the fixed /v1/predict shape without reflection or intermediate
-// buffers, so an index hit can serve entirely from a pooled []byte. The
+// buffers, so a predict request can serve entirely from a pooled []byte. The
 // string and float primitives live in internal/jsonx (shared with the
 // bulk-query row encoder); TestAppendPredictResponseMatchesStdlib pins the
 // response-shape compatibility.

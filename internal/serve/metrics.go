@@ -78,17 +78,13 @@ func planKindNames() []string { return query.Kinds() }
 // Snapshot is a point-in-time read, not a consistent cut, which is all a
 // metrics endpoint needs.
 type metrics struct {
-	requests     atomic.Int64 // all HTTP requests
-	predictions  atomic.Int64 // proteins scored (cache and index hits included)
-	errors       atomic.Int64 // 4xx/5xx responses
-	indexHits    atomic.Int64 // proteins answered from the score index
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-	flightShared atomic.Int64                // queries that piggybacked on an in-flight twin
-	queries      atomic.Int64                // bulk plans executed via /v1/query
-	queryRows    atomic.Int64                // result rows streamed by /v1/query
-	lat          [numRoutes]obs.Histogram    // per-route request wall time
-	planLat      [numPlanKinds]obs.Histogram // /v1/query execute+stream time by plan kind
+	requests    atomic.Int64                // all HTTP requests
+	predictions atomic.Int64                // proteins answered by /v1/predict
+	errors      atomic.Int64                // 4xx/5xx responses
+	queries     atomic.Int64                // bulk plans executed via /v1/query
+	queryRows   atomic.Int64                // result rows streamed by /v1/query
+	lat         [numRoutes]obs.Histogram    // per-route request wall time
+	planLat     [numPlanKinds]obs.Histogram // /v1/query execute+stream time by plan kind
 }
 
 // RouteLatency is one route's latency summary inside MetricsSnapshot:
@@ -113,14 +109,9 @@ type MetricsSnapshot struct {
 	Requests         int64                   `json:"requests"`
 	Predictions      int64                   `json:"predictions"`
 	Errors           int64                   `json:"errors"`
-	IndexHits        int64                   `json:"index_hits"`
-	CacheHits        int64                   `json:"cache_hits"`
-	CacheMisses      int64                   `json:"cache_misses"`
-	FlightShared     int64                   `json:"singleflight_shared"`
 	Queries          int64                   `json:"queries"`
 	QueryRows        int64                   `json:"query_rows"`
 	LatencyMicros    int64                   `json:"latency_micros_total"`
-	CacheEntries     int                     `json:"cache_entries"`
 	AccessLogDropped int64                   `json:"access_log_dropped"`
 	Latency          map[string]RouteLatency `json:"latency"`
 	// QueryLatency breaks /v1/query down by plan kind (scan, topk,
@@ -129,19 +120,14 @@ type MetricsSnapshot struct {
 	QueryLatency map[string]RouteLatency `json:"query_latency"`
 }
 
-func (m *metrics) snapshot(digest string, cacheEntries int, accessDropped int64) MetricsSnapshot {
+func (m *metrics) snapshot(digest string, accessDropped int64) MetricsSnapshot {
 	s := MetricsSnapshot{
 		Artifact:         digest,
 		Requests:         m.requests.Load(),
 		Predictions:      m.predictions.Load(),
 		Errors:           m.errors.Load(),
-		IndexHits:        m.indexHits.Load(),
-		CacheHits:        m.cacheHits.Load(),
-		CacheMisses:      m.cacheMisses.Load(),
-		FlightShared:     m.flightShared.Load(),
 		Queries:          m.queries.Load(),
 		QueryRows:        m.queryRows.Load(),
-		CacheEntries:     cacheEntries,
 		AccessLogDropped: accessDropped,
 		Latency:          make(map[string]RouteLatency, numRoutes),
 		QueryLatency:     make(map[string]RouteLatency, numPlanKinds),

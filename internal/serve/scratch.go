@@ -8,7 +8,7 @@ import (
 
 // scratch is the per-request working set of the predict handler: parsed
 // protein names, resolved vertex ids, per-protein ranking slices, and the
-// response buffer. Pooling it makes an index-hit request allocation-free
+// response buffer. Pooling it makes a predict request allocation-free
 // after warm-up — every slice is reused at its high-water capacity.
 type scratch struct {
 	proteins []string

@@ -22,8 +22,9 @@ import (
 // exampleModel builds the serving artifact for the paper's worked example
 // (Figures 1-3): the Figure-2 motif labeled over the Figure-3 network, with
 // a GO-term-granularity prediction task exactly as in the Figure-8
-// experiment. It returns the offline task and motifs alongside, so tests
-// can cross-check served responses against the offline scoring path.
+// experiment, and its score index built. It returns the offline task and
+// motifs alongside, so tests can cross-check served responses against the
+// offline scoring path.
 func exampleModel(t testing.TB) (*artifact.Artifact, *predict.Task, []*label.LabeledMotif) {
 	t.Helper()
 	pe := dataset.NewPaperExample()
@@ -48,6 +49,7 @@ func exampleModel(t testing.TB) (*artifact.Artifact, *predict.Task, []*label.Lab
 	if err != nil {
 		t.Fatal(err)
 	}
+	art.BuildIndex(0)
 	return art, task, motifs
 }
 
@@ -117,37 +119,42 @@ func TestPredictDeterministicAcrossRunsAndParallelism(t *testing.T) {
 	}
 }
 
-// TestPredictMatchesOfflineScorer pins the served numbers to the offline
-// pipeline: for every protein, the daemon's response must exactly equal
-// predict.TopK over the scorer predictfn constructs — same constructor
-// (label.NewScorer), same ranking, same floats.
+// TestPredictMatchesOfflineScorer is the served-equals-offline gate: for
+// every protein and k, the daemon's response bytes must equal the
+// response rendered from predict.TopK over the scorer predictfn
+// constructs — same constructor (label.NewScorer), same ranking, same
+// floats, same names.
 func TestPredictMatchesOfflineScorer(t *testing.T) {
 	art, task, motifs := exampleModel(t)
 	offline := label.NewScorer(task, motifs)
 	ts := newTestServer(t, reload(t, art), Config{})
-	const k = 7
+	digest, err := art.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p := 0; p < task.Network.N(); p++ {
 		name := task.Network.Name(p)
-		status, body := get(t, fmt.Sprintf("%s/v1/predict?protein=%s&k=%d", ts.URL, name, k))
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", name, status, body)
-		}
-		var resp PredictResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := predict.TopK(offline.Scores(p), k)
-		got := resp.Results[0].Predictions
-		if len(got) != len(want) {
-			t.Fatalf("%s: served %d predictions, offline has %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Function != want[i].Function || got[i].Score != want[i].Score {
-				t.Fatalf("%s rank %d: served (%d, %v), offline (%d, %v)",
-					name, i, got[i].Function, got[i].Score, want[i].Function, want[i].Score)
+		for _, k := range []int{0, 1, 3, 7} {
+			status, body := get(t, fmt.Sprintf("%s/v1/predict?protein=%s&k=%d", ts.URL, name, k))
+			if status != http.StatusOK {
+				t.Fatalf("%s k=%d: status %d: %s", name, k, status, body)
 			}
-			if got[i].Name != art.FunctionNames[want[i].Function] {
-				t.Fatalf("%s rank %d: name %q, want %q", name, i, got[i].Name, art.FunctionNames[want[i].Function])
+			ranked := predict.TopK(offline.Scores(p), k)
+			want := PredictResponse{Artifact: digest, K: k, Results: []ProteinResult{
+				{Protein: name, Predictions: make([]Prediction, len(ranked))},
+			}}
+			if k == 0 {
+				want.K = art.NumFunctions
+			}
+			for i, r := range ranked {
+				want.Results[0].Predictions[i] = Prediction{Function: r.Function, Name: art.FunctionNames[r.Function], Score: r.Score}
+			}
+			wantBody, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, append(wantBody, '\n')) {
+				t.Fatalf("%s k=%d: served\n%s\noffline\n%s", name, k, body, wantBody)
 			}
 		}
 	}
@@ -214,6 +221,7 @@ func TestHealthzAndMotifs(t *testing.T) {
 	}
 }
 
+// TestCacheAndMetrics checks the request and prediction counters.
 func TestCacheAndMetrics(t *testing.T) {
 	art, _, _ := exampleModel(t)
 	s, err := New(reload(t, art), Config{})
@@ -229,11 +237,7 @@ func TestCacheAndMetrics(t *testing.T) {
 			t.Fatalf("predict %d: %d: %s", i, status, body)
 		}
 	}
-	m := s.Metrics()
-	if m.CacheMisses != 1 || m.CacheHits != 2 {
-		t.Fatalf("cache counters: %+v", m)
-	}
-	if m.Predictions != 3 || m.Requests != 3 || m.CacheEntries != 1 {
+	if m := s.Metrics(); m.Predictions != 3 || m.Requests != 3 {
 		t.Fatalf("counters: %+v", m)
 	}
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # lamoload_smoke.sh — end-to-end gate for the serve hot path: build a quick
-# indexed artifact, serve it, drive it with fixed-seed lamoload runs in both
-# loop modes, and assert the handler's allocation budget (0 allocs/op on
-# index hits). With LAMOLOAD_MERGE_INTO=<BENCH_*.json> the closed-loop
+# artifact, serve it, drive it with fixed-seed lamoload runs in both loop
+# modes, and assert the handler's allocation budget (0 allocs/op). With LAMOLOAD_MERGE_INTO=<BENCH_*.json> the closed-loop
 # latency results are also appended to that trajectory snapshot, which is
 # how `make bench-json` lands serve latency beside the microbenchmarks.
 set -euo pipefail
@@ -25,10 +24,10 @@ go build -o "$workdir/lamod" ./cmd/lamod
 go build -o "$workdir/lamoctl" ./cmd/lamoctl
 go build -o "$workdir/lamoload" ./cmd/lamoload
 
-echo "== build indexed artifact"
+echo "== build artifact"
 "$workdir/lamod" build -quick -out "$workdir/model.lamoart" -note "lamoload smoke" \
     | tee "$workdir/build.log"
-grep -q "indexed (format v4)" "$workdir/build.log"
+grep -q "(format v4)" "$workdir/build.log"
 
 echo "== serve on $addr"
 "$workdir/lamod" serve -artifact "$workdir/model.lamoart" -addr "$addr" \
@@ -51,7 +50,7 @@ if [[ "$up" != 1 ]]; then
     cat "$workdir/lamod.log" >&2
     exit 1
 fi
-grep -q "index scoring" "$workdir/lamod.log"
+grep -q "^serving " "$workdir/lamod.log"
 
 echo "== closed-loop load (fixed seed)"
 "$workdir/lamoload" -artifact "$workdir/model.lamoart" -server "http://$addr" \
@@ -78,11 +77,11 @@ echo "== open-loop load (fixed seed)"
     -n 100 -rate 500 -k 5 -seed 2 -name OpenLoop -out "$workdir/open.json"
 grep -q '"name": "OpenLoop/p99"' "$workdir/open.json"
 
-echo "== served proteins still answered from the index"
+echo "== served proteins counted"
 "$workdir/lamoctl" metrics -server "http://$addr" | tee "$workdir/metrics.json"
-grep -q '"index_hits":' "$workdir/metrics.json"
-if grep -q '"index_hits":0,' "$workdir/metrics.json"; then
-    echo "daemon served the load without index hits" >&2
+grep -q '"predictions":' "$workdir/metrics.json"
+if grep -q '"predictions":0,' "$workdir/metrics.json"; then
+    echo "daemon counted no predictions under load" >&2
     exit 1
 fi
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # query_smoke.sh — end-to-end gate for the bulk-query engine: build a quick
-# indexed artifact, serve it, run three canned plans through lamoctl query
+# artifact, serve it, run three canned plans through lamoctl query
 # (pinned top-k, filtered scan, grouped top-k), and assert the contracts
 # that matter operationally: row_count matches the rows actually streamed,
 # the pinned plan reproduces /v1/predict's predictions (including the
@@ -27,10 +27,10 @@ echo "== build binaries"
 go build -o "$workdir/lamod" ./cmd/lamod
 go build -o "$workdir/lamoctl" ./cmd/lamoctl
 
-echo "== build indexed artifact"
+echo "== build artifact"
 "$workdir/lamod" build -quick -out "$workdir/model.lamoart" -note "query smoke" \
     | tee "$workdir/build.log"
-grep -q "indexed (format v4)" "$workdir/build.log"
+grep -q "(format v4)" "$workdir/build.log"
 
 echo "== serve on $addr"
 "$workdir/lamod" serve -artifact "$workdir/model.lamoart" -addr "$addr" \

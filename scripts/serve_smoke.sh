@@ -84,7 +84,7 @@ echo "== trace id echo"
 "$workdir/lamoctl" predict -server "http://$addr" -protein M0000 -k 5 \
     -trace smoke-trace-42 >/dev/null
 
-# The same query twice must return identical bytes (cache hit or not).
+# The same query twice must return identical bytes.
 "$workdir/lamoctl" predict -server "http://$addr" -protein M0000 -k 5 \
     >"$workdir/predict2.json"
 cmp "$workdir/predict.json" "$workdir/predict2.json"
